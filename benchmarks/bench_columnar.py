@@ -17,10 +17,10 @@ import time
 
 import pytest
 
-from repro.core.backend import set_default_backend
 from repro.core.datalog import DatalogQuery
 from repro.core.evaluation import fixpoint, goal_directed_program
 from repro.core.parser import parse_instance, parse_program
+from repro.core.runmode import run_mode
 from repro.core.stats import EngineStats, collecting
 
 from benchmarks.conftest import REGISTRY, report
@@ -132,13 +132,8 @@ def test_evidence_job_backend_delta(benchmark, job_name):
     fn = job.resolve()
 
     def run_with(backend: str) -> EngineStats:
-        previous = set_default_backend(backend)
-        stats = EngineStats()
-        try:
-            with collecting(stats):
-                out = fn(**job.inputs)
-        finally:
-            set_default_backend(previous)
+        with run_mode(backend=backend), collecting() as stats:
+            out = fn(**job.inputs)
         assert out["verdict"] == job.expected
         return stats
 

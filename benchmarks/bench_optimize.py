@@ -13,13 +13,10 @@ import pytest
 
 from repro.analysis.optimize import optimize_program, optimized_query_program
 from repro.core.datalog import DatalogQuery
-from repro.core.evaluation import (
-    fixpoint,
-    goal_directed_program,
-    set_default_optimize,
-)
+from repro.core.evaluation import fixpoint, goal_directed_program
 from repro.core.parser import parse_instance, parse_program
-from repro.core.stats import EngineStats
+from repro.core.runmode import run_mode
+from repro.core.stats import EngineStats, collecting
 
 from benchmarks.conftest import REGISTRY, report
 
@@ -101,15 +98,8 @@ def test_evidence_job_engine_delta(benchmark, job_name):
     fn = job.resolve()
 
     def run_with(optimize: bool):
-        previous = set_default_optimize(optimize)
-        stats = EngineStats()
-        from repro.core.stats import collecting
-
-        try:
-            with collecting(stats):
-                out = fn(**job.inputs)
-        finally:
-            set_default_optimize(previous)
+        with run_mode(optimize=optimize), collecting() as stats:
+            out = fn(**job.inputs)
         assert out["verdict"] == job.expected
         return stats
 

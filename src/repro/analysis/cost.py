@@ -37,18 +37,19 @@ per-predicate cardinality bounds are certified by ``--check-cost``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.core.atoms import Atom
 from repro.core.datalog import DatalogProgram, Rule
+from repro.core.runmode import Guard, register_guard
 from repro.core.terms import Variable
 
 from repro.analysis.dependency import DependencyGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.instance import Instance
+    from repro.core.stats import EngineStats
 
 #: saturation ceiling for all bound arithmetic; larger-than-real is
 #: always sound, so products/powers clamp here instead of overflowing
@@ -568,31 +569,43 @@ def predicted_join_volume(
 # ----------------------------------------------------------------------
 # the --check-cost guard: empirical re-validation of every bound
 # ----------------------------------------------------------------------
-class CostGuard:
+@register_guard
+class CostGuard(Guard):
     """Compares measured relation sizes against predicted bounds.
 
-    Installed via :func:`cost_checking`, called by
-    :func:`repro.core.evaluation.fixpoint` after every evaluation with
-    the *actually executed* program.  Any measured IDB relation larger
-    than its predicted bound is an unsound prediction and is recorded
-    loudly (and counted into ``EngineStats.cost_violations``).
+    Enabled by ``run_mode(checks=("cost",))`` (``--check-cost``) and
+    fired by :func:`repro.core.evaluation.fixpoint` after every
+    evaluation with the *actually executed* program.  Any measured IDB
+    relation larger than its predicted bound is an unsound prediction
+    and is recorded loudly (and counted into
+    ``EngineStats.cost_violations``).
     """
 
-    def __init__(self, limit: int = COST_RULE_LIMIT) -> None:
-        self.limit = limit
-        self.checks = 0
-        self.predicates = 0
-        self.violations: list[dict[str, object]] = []
+    name = "cost"
+    flag = "--check-cost"
+    help = (
+        "audit every fixpoint a job computes against the static "
+        "cardinality bounds (repro.analysis.cost); any measured "
+        "relation exceeding its predicted bound makes the run red. "
+        "Part of the cache's run-mode key"
+    )
+    label = "cost bounds"
+    claim = "within the static cardinality bounds"
+    count = ("predicates", "bounds")
 
-    def __call__(
+    def __init__(self, limit: int = COST_RULE_LIMIT) -> None:
+        super().__init__()
+        self.limit = limit
+        self.predicates = 0
+
+    def on_fixpoint(
         self,
         program: DatalogProgram,
         instance: "Instance",
         result: "Instance",
-        stats: object = None,
+        stats: Optional["EngineStats"],
     ) -> None:
         from repro.core import stats as _stats
-        from repro.core.stats import EngineStats
 
         if not program.rules or len(program.rules) > self.limit:
             return
@@ -619,30 +632,19 @@ class CostGuard:
                     }
                 )
         self.predicates += checked
-        collector = (
-            stats if isinstance(stats, EngineStats) else _stats.active()
-        )
+        collector = stats if stats is not None else _stats.active()
         if collector is not None:
             collector.cost_checks += 1
             collector.cost_bounds_checked += checked
             collector.cost_violations += violated
 
-    def summary(self) -> dict[str, object]:
-        return {
-            "checks": self.checks,
-            "predicates": self.predicates,
-            "violations": list(self.violations),
-        }
+    def summary(self) -> dict[str, Any]:
+        return {**super().summary(), "predicates": self.predicates}
 
-
-@contextmanager
-def cost_checking(limit: int = COST_RULE_LIMIT) -> Iterator[CostGuard]:
-    """Install a :class:`CostGuard` for the duration of the block."""
-    from repro.core import evaluation
-
-    guard = CostGuard(limit=limit)
-    previous = evaluation.set_cost_guard(guard)
-    try:
-        yield guard
-    finally:
-        evaluation.set_cost_guard(previous)
+    @classmethod
+    def render_violation(cls, violation: Mapping[str, Any]) -> str:
+        return (
+            f"cost bound VIOLATED: {violation['pred']} measured "
+            f"{violation['measured']} > bound {violation['bound']} "
+            f"({violation['basis']})"
+        )

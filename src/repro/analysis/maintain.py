@@ -49,11 +49,11 @@ against every measured :class:`~repro.ivm.materialized.MaintenanceRound`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.core.datalog import DatalogProgram
+from repro.core.runmode import Guard, register_guard
 from repro.core.terms import Variable
 
 from repro.analysis.cost import (
@@ -537,10 +537,12 @@ def maintain_report(
     )
 
 
-class MaintenanceGuard:
+@register_guard
+class MaintenanceGuard(Guard):
     """Compares measured maintenance rounds against the static claims.
 
-    Installed via :func:`maintenance_checking`, called by
+    Enabled by ``run_mode(checks=("maintain",))``
+    (``--check-maintenance``) and fired by
     :meth:`repro.ivm.materialized.MaterializedView.apply` after every
     round with the pre-round base.  Two kinds of unsound prediction
     are recorded loudly:
@@ -554,19 +556,31 @@ class MaintenanceGuard:
       the report planned for it.
     """
 
+    name = "maintain"
+    flag = "--check-maintenance"
+    help = (
+        "audit every incremental maintenance round against the "
+        "static delta bounds and strategy classification "
+        "(repro.analysis.maintain); any measured delta exceeding its "
+        "predicted bound makes the run red. Part of the cache's "
+        "run-mode key"
+    )
+    label = "maintenance"
+    claim = "within the static delta bounds on the planned strategy"
+    count = ("checks", "rounds")
+
     def __init__(self, limit: int = MAINTAIN_RULE_LIMIT) -> None:
+        super().__init__()
         self.limit = limit
-        self.checks = 0
         self.predicates = 0
         self.strategies: dict[str, int] = {_COUNTING: 0, _DRED: 0}
-        self.violations: list[dict[str, object]] = []
 
-    def check_round(
+    def on_round(
         self,
         view: "MaterializedView",
         round_: "MaintenanceRound",
         update_size: int,
-        base_before: Optional["Instance"] = None,
+        base_before: Optional["Instance"],
     ) -> None:
         from repro.core import stats as _stats
 
@@ -615,40 +629,23 @@ class MaintenanceGuard:
                     "actual": strategy,
                 })
 
-    def summary(self) -> dict[str, object]:
+    def summary(self) -> dict[str, Any]:
         return {
-            "checks": self.checks,
+            **super().summary(),
             "predicates": self.predicates,
             "strategies": dict(self.strategies),
-            "violations": list(self.violations),
         }
 
-
-_MAINTENANCE_GUARD: Optional[MaintenanceGuard] = None
-
-
-def set_maintenance_guard(
-    guard: Optional[MaintenanceGuard],
-) -> Optional[MaintenanceGuard]:
-    """Install (or clear) the ambient guard; returns the previous one."""
-    global _MAINTENANCE_GUARD
-    previous = _MAINTENANCE_GUARD
-    _MAINTENANCE_GUARD = guard
-    return previous
-
-
-def active_maintenance_guard() -> Optional[MaintenanceGuard]:
-    return _MAINTENANCE_GUARD
-
-
-@contextmanager
-def maintenance_checking(
-    limit: int = MAINTAIN_RULE_LIMIT,
-) -> Iterator[MaintenanceGuard]:
-    """Install a :class:`MaintenanceGuard` for the duration of the block."""
-    guard = MaintenanceGuard(limit=limit)
-    previous = set_maintenance_guard(guard)
-    try:
-        yield guard
-    finally:
-        set_maintenance_guard(previous)
+    @classmethod
+    def render_violation(cls, violation: Mapping[str, Any]) -> str:
+        if violation.get("kind") == "strategy":
+            return (
+                f"maintain strategy VIOLATED: {violation['pred']} ran "
+                f"{violation['actual']} where the analysis demands "
+                f"{violation['planned']}"
+            )
+        return (
+            f"maintain delta VIOLATED: {violation['pred']} measured "
+            f"{violation['measured']} > bound {violation['bound']} "
+            f"({violation['basis']})"
+        )

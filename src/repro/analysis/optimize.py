@@ -684,31 +684,6 @@ def pass_magic_sets(
 # ---------------------------------------------------------------------------
 # pass: join_order
 # ---------------------------------------------------------------------------
-#: which per-atom cost estimator drives join reordering: ``"model"``
-#: uses the certified cardinality bounds of :mod:`repro.analysis.cost`
-#: (per-predicate bounds from the SCC abstract interpretation plus
-#: ``min(|R|, adom**free_vars)`` per atom); ``"heuristic"`` is the
-#: original selectivity formula, kept as an escape hatch.
-_JOIN_COST_MODEL = "model"
-
-
-def set_join_cost_model(name: str) -> str:
-    """Select the join-cost estimator; returns the previous choice."""
-    global _JOIN_COST_MODEL
-    if name not in ("model", "heuristic"):
-        raise ValueError(
-            f"unknown join cost model {name!r}; use 'model' or 'heuristic'"
-        )
-    previous = _JOIN_COST_MODEL
-    _JOIN_COST_MODEL = name
-    return previous
-
-
-def join_cost_model() -> str:
-    """The active join-cost estimator name."""
-    return _JOIN_COST_MODEL
-
-
 def _atom_cost(
     atom: Atom,
     bound: set[Variable],
@@ -716,6 +691,9 @@ def _atom_cost(
     default_size: int,
 ) -> float:
     """Estimated scan cost: relation cardinality shrunk per bound slot.
+
+    The fallback estimator of :func:`_greedy_order` when no active-
+    domain width (hence no certified cardinality model) is available.
 
     Only *distinct unbound* variables widen the estimate: a repeated
     variable within the atom (``R(z,z)``) or a constant slot filters
@@ -749,7 +727,7 @@ def _greedy_order(
 ) -> list[int]:
     from repro.analysis.cost import atom_match_bound
 
-    use_model = adom is not None and _JOIN_COST_MODEL == "model"
+    use_model = adom is not None
     remaining = list(range(len(body)))
     bound: set[Variable] = set()
     order: list[int] = []
@@ -783,22 +761,19 @@ def _greedy_order(
 
 def _planning_inputs(
     program: DatalogProgram, instance: Optional[Instance]
-) -> tuple[dict[str, int], int, Optional[int]]:
-    """``(sizes, default_size, adom)`` for the active cost model.
+) -> tuple[dict[str, int], int, int]:
+    """``(sizes, default_size, adom)`` for the certified cost model.
 
-    The heuristic model plans from EDB cardinalities alone (IDB atoms
-    fall back to ``default_size``); the certified model additionally
-    feeds every IDB predicate its sound cardinality bound and the
-    active-domain width, so recursive atoms are ranked by what they can
-    actually grow to instead of a flat default.
+    EDB atoms are sized by their measured cardinalities; every IDB
+    predicate gets its sound cardinality bound and the active-domain
+    width, so recursive atoms are ranked by what they can actually grow
+    to instead of a flat default.
     """
     sizes: dict[str, int] = {}
     if instance is not None:
         for pred in program.edb_predicates():
             sizes[pred] = instance.size(pred)
     default_size = max(sizes.values(), default=16) or 16
-    if _JOIN_COST_MODEL != "model":
-        return sizes, default_size, None
     from repro.analysis.cost import cost_report
 
     report = cost_report(program, instance=instance, peel=False)

@@ -34,7 +34,7 @@ that rule occurs; the backtracking assignment is verified rule by rule
 and capped at :data:`_CSP_STEP_LIMIT` steps.  Failure is always safe:
 an unplanned stratum degrades to ``exchange_required``, never to an
 unsound communication-free claim.  ``evidence run --check-sharding``
-installs a :class:`ShardGuard` that audits the claim at runtime: in a
+enables a :class:`ShardGuard` that audits the claim at runtime: in a
 communication-free stratum no worker may ever hold a fact whose key
 hashes to a different worker.
 """
@@ -42,11 +42,11 @@ hashes to a different worker.
 from __future__ import annotations
 
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
 from repro.core.datalog import DatalogProgram, Rule
+from repro.core.runmode import Guard, register_guard
 from repro.core.terms import Variable
 
 from repro.analysis.cost import (
@@ -432,24 +432,36 @@ def shard_report(
     )
 
 
-class ShardGuard:
+@register_guard
+class ShardGuard(Guard):
     """Audits sharded runs for conformance with the static plan.
 
-    Installed via :func:`sharding_checking`, fed by the sharded
-    executor after every stratum with what each worker derived.  The
-    one unsound direction is recorded loudly: a worker holding a fact
-    of a communication-free stratum whose partition key hashes to a
-    *different* worker — the analysis claimed that can never happen.
+    Enabled by ``run_mode(checks=("shard",))`` (``--check-sharding``)
+    and fired by the sharded executor after every communication-free
+    stratum with what each worker derived.  The one unsound direction
+    is recorded loudly: a worker holding a fact of a communication-free
+    stratum whose partition key hashes to a *different* worker — the
+    analysis claimed that can never happen.
     """
 
+    name = "shard"
+    flag = "--check-sharding"
+    help = (
+        "audit every communication-free stratum against the shard "
+        "plan (no tuple may land on the wrong worker); any boundary "
+        "violation makes the run red. Part of the cache's run-mode key"
+    )
+    label = "sharding"
+    claim = "conformant to the shard plan across {shards} worker(s)"
+    count = ("strata", "strata")
+
     def __init__(self, limit: int = SHARD_RULE_LIMIT) -> None:
+        super().__init__()
         self.limit = limit
-        self.checks = 0
         self.strata = 0
         self.facts = 0
-        self.violations: list[dict[str, object]] = []
 
-    def check_stratum(
+    def on_stratum(
         self,
         plan: ShardStratumPlan,
         shards: int,
@@ -477,38 +489,18 @@ class ShardGuard:
                         "owner": owner,
                     })
 
-    def summary(self) -> dict[str, object]:
+    def summary(self) -> dict[str, Any]:
         return {
-            "checks": self.checks,
+            **super().summary(),
             "strata": self.strata,
             "facts": self.facts,
-            "violations": list(self.violations),
         }
 
-
-_SHARD_GUARD: Optional[ShardGuard] = None
-
-
-def set_shard_guard(guard: Optional[ShardGuard]) -> Optional[ShardGuard]:
-    """Install (or clear) the ambient guard; returns the previous one."""
-    global _SHARD_GUARD
-    previous = _SHARD_GUARD
-    _SHARD_GUARD = guard
-    return previous
-
-
-def active_shard_guard() -> Optional[ShardGuard]:
-    return _SHARD_GUARD
-
-
-@contextmanager
-def sharding_checking(
-    limit: int = SHARD_RULE_LIMIT,
-) -> Iterator[ShardGuard]:
-    """Install a :class:`ShardGuard` for the duration of the block."""
-    guard = ShardGuard(limit=limit)
-    previous = set_shard_guard(guard)
-    try:
-        yield guard
-    finally:
-        set_shard_guard(previous)
+    @classmethod
+    def render_violation(cls, violation: Mapping[str, Any]) -> str:
+        return (
+            f"shard boundary VIOLATED: {violation['pred']} fact "
+            f"{violation['fact']} landed on worker {violation['worker']} "
+            f"but hashes to {violation['owner']} "
+            f"(stratum {violation['stratum']})"
+        )

@@ -36,9 +36,9 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import contextlib
 
-from repro.core.backend import backend_names, set_default_backend
+from repro.core.backend import backend_names
+from repro.core.runmode import run_mode
 from repro.core.cq import ConjunctiveQuery
 from repro.core.datalog import DatalogQuery
 from repro.core.parser import (
@@ -201,20 +201,14 @@ def load_instance(path: str):
         raise
 
 
-@contextlib.contextmanager
 def _backend_from(args: argparse.Namespace):
-    """Ambiently select ``--backend`` for the command, then restore.
+    """Run the command under ``--backend``.
 
     The decision procedures call ``fixpoint``/``evaluate`` from many
-    internal sites; flipping the process-wide default (and restoring it
-    on exit, so ``main()`` stays reusable in-process, e.g. from tests)
-    reaches them all without threading a parameter through every layer.
+    internal sites; the run mode reaches them all without threading a
+    parameter through every layer.
     """
-    previous = set_default_backend(getattr(args, "backend", "interpreted"))
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
+    return run_mode(backend=getattr(args, "backend", "interpreted"))
 
 
 def cmd_decide(args: argparse.Namespace) -> int:

@@ -12,12 +12,11 @@ from repro.core.evaluation import fixpoint, naive_fixpoint, seminaive_fixpoint
 from repro.core.backend import (
     Backend,
     backend_names,
-    default_backend,
     get_backend,
     register_backend,
-    set_default_backend,
 )
 from repro.core.columnar import columnar_fixpoint
+from repro.core.runmode import Guard, RunMode, current, register_guard, run_mode
 from repro.core.approximation import (
     ExpansionNode,
     approximations,
@@ -75,8 +74,9 @@ __all__ = [
     "Instance", "Schema", "ConjunctiveQuery", "CanonConst",
     "cq_from_instance", "UCQ", "as_ucq", "Rule", "DatalogProgram",
     "DatalogQuery", "fixpoint", "naive_fixpoint", "seminaive_fixpoint",
-    "Backend", "backend_names", "columnar_fixpoint", "default_backend",
-    "get_backend", "register_backend", "set_default_backend",
+    "Backend", "backend_names", "columnar_fixpoint", "get_backend",
+    "register_backend", "RunMode", "Guard", "current", "run_mode",
+    "register_guard",
     "ExpansionNode", "approximations", "approximation_trees",
     "expansion_trees", "tree_to_cq", "is_normalized", "normalize",
     "ContainmentResult", "Verdict", "cq_contained",

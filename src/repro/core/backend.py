@@ -17,15 +17,23 @@ enforce that — so backend choice is a performance decision, never a
 semantics one.
 
 Selection is by name: explicitly via ``fixpoint(backend=...)`` /
-``DatalogQuery.evaluate(backend=...)``, or ambiently via
-:func:`set_default_backend` (the harness worker processes and the
-CLI's ``--backend`` flag use this route so call sites need no
-signature change).
+``DatalogQuery.evaluate(backend=...)``, or through the run mode
+(``with run_mode(backend=...)``, :mod:`repro.core.runmode`; the harness
+worker processes and the CLI's ``--backend`` flag use this route so
+call sites need no signature change).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Optional, Protocol
+
+from repro.core.runmode import (
+    Guard,
+    RunMode,
+    active_guards,
+    current,
+    register_guard,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycles
     from repro.core.datalog import DatalogProgram
@@ -110,21 +118,31 @@ class ColumnarBackend:
         )
 
 
-#: how the ``auto`` backend decided each fixpoint since the last
-#: :func:`reset_auto_resolutions` — ``{"backend", "volume", "threshold"}``
-#: dicts, newest last, surfaced into run manifests so cached results
-#: stay explainable
-_AUTO_RESOLUTIONS: list[dict[str, object]] = []
+@register_guard
+class BackendGuard(Guard):
+    """Records every ``auto`` backend decision and why it was made.
 
+    Installed whenever the run mode's backend is ``auto``; its summary
+    (``resolutions``: ``{"backend", "volume", "threshold"}`` dicts,
+    oldest first) lets a manifest say not just *what* ran but *why*.
+    It audits no claim, so it never records a violation.
+    """
 
-def auto_resolutions() -> list[dict[str, object]]:
-    """Snapshot of the ``auto`` backend's choices (newest last)."""
-    return list(_AUTO_RESOLUTIONS)
+    name = "backend"
+    label = "auto backend"
+    claim = "resolved by the predicted join volume"
+    count = ("checks", "picks")
 
+    def __init__(self) -> None:
+        super().__init__()
+        self.resolutions: list[dict[str, object]] = []
 
-def reset_auto_resolutions() -> None:
-    """Clear the recorded ``auto`` choices (start of a measured run)."""
-    _AUTO_RESOLUTIONS.clear()
+    @classmethod
+    def enabled(cls, mode: RunMode) -> bool:
+        return mode.backend == "auto"
+
+    def summary(self) -> dict[str, Any]:
+        return {**super().summary(), "resolutions": list(self.resolutions)}
 
 
 class AutoBackend:
@@ -136,9 +154,8 @@ class AutoBackend:
     on the interpreted engine (per-tuple search with no plan-build
     overhead); volumes at or above ``threshold`` go columnar, where
     batch probes amortize the hash-table builds.  Every decision is
-    recorded (see :func:`auto_resolutions`) and counted into
-    ``EngineStats.auto_backend_*``, so a manifest can say not just
-    *what* ran but *why*.
+    recorded by the installed :class:`BackendGuard` and counted into
+    ``EngineStats.auto_backend_*``.
     """
 
     name = "auto"
@@ -152,6 +169,35 @@ class AutoBackend:
     def __init__(self, threshold: int = DEFAULT_THRESHOLD) -> None:
         self.threshold = threshold
 
+    def choose(
+        self,
+        program: "DatalogProgram",
+        instance: "Instance",
+        stats: Optional["EngineStats"] = None,
+    ) -> str:
+        """The concrete engine for ``program`` on ``instance``."""
+        from repro.analysis.cost import predicted_join_volume
+        from repro.core import stats as _stats
+
+        with _stats.suspended():
+            volume = predicted_join_volume(program, instance)
+        chosen = "columnar" if volume >= self.threshold else "interpreted"
+        for guard in active_guards():
+            if isinstance(guard, BackendGuard):
+                guard.checks += 1
+                guard.resolutions.append({
+                    "backend": chosen,
+                    "volume": volume,
+                    "threshold": self.threshold,
+                })
+        collector = stats if stats is not None else _stats.active()
+        if collector is not None:
+            if chosen == "columnar":
+                collector.auto_backend_columnar += 1
+            else:
+                collector.auto_backend_interpreted += 1
+        return chosen
+
     def fixpoint(
         self,
         program: "DatalogProgram",
@@ -161,26 +207,7 @@ class AutoBackend:
         stats: Optional["EngineStats"] = None,
         ordering: str = "auto",
     ) -> "Instance":
-        from repro.analysis.cost import predicted_join_volume
-        from repro.core import stats as _stats
-
-        with _stats.suspended():
-            volume = predicted_join_volume(program, instance)
-        chosen = "columnar" if volume >= self.threshold else "interpreted"
-        _AUTO_RESOLUTIONS.append(
-            {
-                "backend": chosen,
-                "volume": volume,
-                "threshold": self.threshold,
-            }
-        )
-        collector = stats if stats is not None else _stats.active()
-        if collector is not None:
-            if chosen == "columnar":
-                collector.auto_backend_columnar += 1
-            else:
-                collector.auto_backend_interpreted += 1
-        return get_backend(chosen).fixpoint(
+        return get_backend(self.choose(program, instance, stats)).fixpoint(
             program,
             instance,
             strategy=strategy,
@@ -219,26 +246,6 @@ def get_backend(name: str) -> Backend:
         ) from None
 
 
-#: ambient default for ``fixpoint(..., backend=None)``; flipped by
-#: :func:`set_default_backend` (harness workers, CLI ``--backend``).
-_DEFAULT_BACKEND = "interpreted"
-
-
-def set_default_backend(name: str) -> str:
-    """Set the ambient default backend; returns the previous name so
-    callers can restore it.  Rejects unregistered names up front."""
-    global _DEFAULT_BACKEND
-    get_backend(name)  # validate before committing
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = name
-    return previous
-
-
-def default_backend() -> str:
-    """The current ambient backend name."""
-    return _DEFAULT_BACKEND
-
-
 def resolve_backend(name: Optional[str] = None) -> Backend:
-    """``name`` if given, else the ambient default, as a :class:`Backend`."""
-    return get_backend(name if name is not None else _DEFAULT_BACKEND)
+    """``name`` if given, else the run mode's, as a :class:`Backend`."""
+    return get_backend(name if name is not None else current().backend)

@@ -239,11 +239,10 @@ class DatalogQuery:
         Evaluation is goal-directed: rules the goal does not depend on
         are pruned first (they cannot contribute goal tuples), then the
         SCC-stratified engine runs the rest dependencies-first.
-        ``backend`` selects the evaluation engine (``None`` → the
-        ambient :func:`repro.core.backend.default_backend`).
+        ``backend`` selects the evaluation engine (``None`` → the run
+        mode's, see :func:`repro.core.runmode.current`).
 
-        With ``optimize=True`` (or the ambient
-        :func:`repro.core.evaluation.set_default_optimize` default) the
+        With ``optimize=True`` (or an optimizing run mode) the
         full :mod:`repro.analysis.optimize` pipeline runs first — dead
         code, specialization, inlining and magic sets — which is only
         goal-preserving on *extensional* instances; when ``instance``
@@ -254,14 +253,11 @@ class DatalogQuery:
         skipped rather than ineffective.
         """
         from repro.core import stats as _stats
-        from repro.core.evaluation import (
-            default_optimize,
-            fixpoint,
-            goal_directed_program,
-        )
+        from repro.core.evaluation import fixpoint, goal_directed_program
+        from repro.core.runmode import current
 
         if optimize is None:
-            optimize = default_optimize()
+            optimize = current().optimize
         if optimize and (
             instance.predicates() & self.program.idb_predicates()
         ):

@@ -42,44 +42,8 @@ from repro.core.homomorphism import (
     resolve_plan,
 )
 from repro.core.instance import Instance
+from repro.core.runmode import active_guards, current
 from repro.core.stats import EngineStats
-
-#: ambient default for ``fixpoint(..., optimize=None)``; flipped by
-#: :func:`set_default_optimize` (e.g. in harness worker processes) so
-#: existing call sites opt in without changing their signatures.
-_DEFAULT_OPTIMIZE = False
-
-
-def set_default_optimize(value: bool) -> bool:
-    """Set the ambient default for ``optimize=None``; returns the
-    previous value so callers can restore it."""
-    global _DEFAULT_OPTIMIZE
-    previous = _DEFAULT_OPTIMIZE
-    _DEFAULT_OPTIMIZE = bool(value)
-    return previous
-
-
-def default_optimize() -> bool:
-    """The current ambient optimization default."""
-    return _DEFAULT_OPTIMIZE
-
-
-#: optional audit hook called after every :func:`fixpoint` with the
-#: program *actually evaluated* (post-optimization), the input instance,
-#: the result and the caller's stats collector.  Installed by
-#: :func:`repro.analysis.cost.cost_checking` to re-validate predicted
-#: cardinality bounds against measured relation sizes (``--check-cost``).
-_COST_GUARD = None
-
-
-def set_cost_guard(guard):
-    """Install (or clear, with None) the post-fixpoint audit hook;
-    returns the previous hook so callers can restore it."""
-    global _COST_GUARD
-    previous = _COST_GUARD
-    _COST_GUARD = guard
-    return previous
-
 
 def _rule_derivations(
     rule: Rule, instance: Instance, ordering: str = "auto"
@@ -459,8 +423,10 @@ def fixpoint(
 ) -> Instance:
     """``FPEval(Π, I)`` with a selectable strategy and backend.
 
-    ``optimize=True`` (or an ambient :func:`set_default_optimize`
-    default with ``optimize=None``) first applies the *universally
+    Arguments left ``None`` come from the calling context's
+    :func:`repro.core.runmode.current` run mode.
+
+    ``optimize=True`` first applies the *universally
     sound* optimizer passes — body minimization, subsumed-rule removal
     and static join reordering against this instance's cardinalities
     (:mod:`repro.analysis.optimize`) — and then evaluates with
@@ -470,24 +436,26 @@ def fixpoint(
     inlining) need a goal predicate and live in
     :meth:`repro.core.datalog.DatalogQuery.evaluate`.
 
-    ``backend`` names the evaluation engine (``None`` → the ambient
-    :func:`repro.core.backend.default_backend`).  The optimizer passes
+    ``backend`` names the evaluation engine.  The optimizer passes
     are backend-independent program transforms, so they compose with
     every backend; only the ``ordering`` hint is interpreted-specific.
 
-    ``shards=N`` (or an ambient
-    :func:`repro.core.shard.set_default_shards` default with
-    ``shards=None``) evaluates through the sharded parallel executor
+    ``shards=N`` evaluates through the sharded parallel executor
     planned by :func:`repro.analysis.shard.shard_report` — hash-
     partitioned worker processes per stratum where the plan proves it
     communication-free, delta exchange where it does not.  Instances
-    below the executor's size gate stay on the plain path, so the
-    ambient default is safe to leave on.
+    below the executor's size gate stay on the plain path, so a
+    sharded run mode is safe to leave on.
+
+    Every guard installed by the run mode audits the result
+    (:meth:`repro.core.runmode.Guard.on_fixpoint`) with the program
+    *actually evaluated*.
     """
     from repro.core.backend import resolve_backend
 
+    mode = current()
     if optimize is None:
-        optimize = _DEFAULT_OPTIMIZE
+        optimize = mode.optimize
     ordering = "auto"
     if optimize:
         from repro.analysis.optimize import (
@@ -507,10 +475,8 @@ def fixpoint(
                 )
             ordering = "static"
     if shards is None:
-        from repro.core.shard import default_shards
-
-        shards = default_shards()
-    if shards and shards > 1:
+        shards = mode.shards
+    if shards > 1:
         from repro.core.shard import sharded_fixpoint
 
         result = sharded_fixpoint(
@@ -522,8 +488,8 @@ def fixpoint(
             program, instance, strategy=strategy, stats=stats,
             ordering=ordering,
         )
-    if _COST_GUARD is not None:
-        _COST_GUARD(program, instance, result, stats=stats)
+    for guard in active_guards():
+        guard.on_fixpoint(program, instance, result, stats)
     return result
 
 

@@ -29,11 +29,12 @@ and ship their :class:`~repro.core.stats.EngineStats` back with every
 result (worker fixpoint rounds surface as ``shard_local_rounds``).
 Small inputs never pay any of this: below :data:`SHARD_MIN_FACTS`
 total (or per-stratum) facts the plain single-process path runs, so
-``--shards`` is safe to leave on ambiently.
+``--shards`` is safe to leave on for a whole run.
 """
 
 from __future__ import annotations
 
+import contextvars
 import multiprocessing
 import traceback
 from typing import Any, Mapping, Optional, Sequence
@@ -42,6 +43,7 @@ from repro.core import stats as _stats
 from repro.core.atoms import Atom
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.instance import Instance
+from repro.core.runmode import active_guards
 from repro.core.stats import EngineStats
 
 #: below this many facts (whole instance, or the slice a stratum
@@ -53,40 +55,18 @@ SHARD_MIN_FACTS = 256
 _OUT = "__shard_out__"
 _DELTA = "__shard_delta__"
 
-#: ambient default for ``fixpoint(..., shards=None)``; set by the CLI
-#: and the evidence workers (mirrors ``set_default_optimize``)
-_DEFAULT_SHARDS = 0
-
-
-def set_default_shards(value: int) -> int:
-    """Set the ambient worker count for ``shards=None``; returns the
-    previous value so callers can restore it."""
-    global _DEFAULT_SHARDS
-    previous = _DEFAULT_SHARDS
-    _DEFAULT_SHARDS = max(0, int(value))
-    return previous
-
-
-def default_shards() -> int:
-    """The current ambient shard count (0 = single-process)."""
-    return _DEFAULT_SHARDS
-
-
 def _worker_main(conn: Any) -> None:
     """One shard worker: hold relations, run backend fixpoints on demand.
 
-    Forked workers inherit the parent's ambient collectors, guards and
-    shard default; all of it is reset so a worker is an ordinary
+    A forked worker inherits the forking thread's run mode, guards and
+    collector; it runs in a fresh context instead, so it is an ordinary
     single-process engine whose only channel back is the pipe.
     """
-    from repro.analysis.shard import set_shard_guard
-    from repro.core import evaluation
-    from repro.core.backend import resolve_backend
+    contextvars.Context().run(_worker_loop, conn)
 
-    _stats._ACTIVE.clear()
-    evaluation.set_cost_guard(None)
-    set_default_shards(0)
-    set_shard_guard(None)
+
+def _worker_loop(conn: Any) -> None:
+    from repro.core.backend import resolve_backend
 
     relations: dict[str, set[tuple[Any, ...]]] = {}
     while True:
@@ -270,7 +250,6 @@ def sharded_fixpoint(
         COMMUNICATION_FREE,
         SEQUENTIAL,
         CostParameters,
-        active_shard_guard,
         shard_of,
         shard_report,
     )
@@ -278,6 +257,8 @@ def sharded_fixpoint(
     from repro.analysis.dependency import DependencyGraph
 
     engine = resolve_backend(backend)
+    # workers run in a fresh context: ship the resolved name, not None
+    backend = engine.name
     if shards <= 1 or not program.rules or len(instance) < SHARD_MIN_FACTS:
         return engine.fixpoint(
             program, instance, strategy=strategy, stats=stats,
@@ -295,7 +276,7 @@ def sharded_fixpoint(
             dependency=dep,
             workers=shards,
         )
-    guard = active_shard_guard()
+    audits = active_guards()
 
     state = instance.copy()
     pool: Optional[_WorkerPool] = None
@@ -363,8 +344,9 @@ def sharded_fixpoint(
                             state.add_tuple(pred, tuple(row))
                             derived.append((pred, tuple(row)))
                     per_worker[worker] = derived
-                if guard is not None and stratum_plan is not None:
-                    guard.check_stratum(stratum_plan, shards, per_worker)
+                if stratum_plan is not None:
+                    for guard in audits:
+                        guard.on_stratum(stratum_plan, shards, per_worker)
                 continue
 
             # ---------------------------------------- exchange_required

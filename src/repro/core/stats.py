@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
@@ -232,14 +233,16 @@ class EngineStats:
 
 
 # ---------------------------------------------------------------------------
-# ambient collector (a stack, so collections nest cleanly)
+# ambient collector (per context, so threads and tasks each see their own;
+# nested collections restore the enclosing one on exit)
 # ---------------------------------------------------------------------------
-_ACTIVE: list[EngineStats] = []
+_COLLECTOR: ContextVar[Optional[EngineStats]] = ContextVar(
+    "repro_collector", default=None
+)
 
-
-def active() -> Optional[EngineStats]:
-    """The innermost active collector, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
+#: the innermost active collector, or None (the bare ``ContextVar.get``:
+#: the hot paths call this per fact and per search)
+active = _COLLECTOR.get
 
 
 @contextmanager
@@ -247,11 +250,11 @@ def collecting(stats: Optional[EngineStats] = None) -> Iterator[EngineStats]:
     """Activate ``stats`` (a fresh object if None) for the block."""
     if stats is None:
         stats = EngineStats()
-    _ACTIVE.append(stats)
+    token = _COLLECTOR.set(stats)
     try:
         yield stats
     finally:
-        _ACTIVE.pop()
+        _COLLECTOR.reset(token)
 
 
 @contextmanager

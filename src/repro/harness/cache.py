@@ -7,12 +7,12 @@ A job's cache key is a SHA-256 over
 * a *code fingerprint*: the hash of every ``.py`` file in the
   ``repro`` package **plus** the source of the module that defines the
   job function (test jobs live outside the package), and
-* the *run mode*: a structured dict of evaluation settings that change
-  what the workers measure without changing any source — currently
-  ``optimize`` and ``backend``.  The mode is part of the hashed
-  payload, not a salt appended to the fingerprint, so new modes
-  compose without colliding and the fingerprint stays meaningful in
-  manifests.
+* the *run mode* (:class:`repro.core.runmode.RunMode`): the
+  evaluation settings that change what the workers measure without
+  changing any source — optimizer, backend, shard count and enabled
+  audits.  The mode is part of the hashed payload, not a salt appended
+  to the fingerprint, so modes never collide and the fingerprint stays
+  meaningful in manifests.
 
 So a re-run after any library edit recomputes everything, while a
 killed run — or a second invocation on unchanged code in the same
@@ -30,11 +30,13 @@ import os
 from pathlib import Path
 from typing import Optional
 
+from repro.core.runmode import RunMode
 from repro.harness.job import Job, JobResult
 
 #: bump to invalidate every existing cache entry on format changes
-CACHE_SCHEMA = 3  # 2: results carry certificates; 3: structured
-                  # run-mode dict in the key (optimize, backend)
+CACHE_SCHEMA = 4  # 2: results carry certificates; 3: structured
+                  # run-mode dict in the key (optimize, backend); 4:
+                  # the full RunMode in the key, audits in the results
 
 
 def _hash_bytes(data: bytes) -> str:
@@ -82,13 +84,13 @@ class ResultCache:
         self,
         root: Path,
         fingerprint: Optional[str] = None,
-        run_mode: Optional[dict[str, object]] = None,
+        mode: RunMode = RunMode(),
     ) -> None:
         self.root = Path(root)
         self.fingerprint = fingerprint or code_fingerprint()
         #: evaluation settings keyed into every entry; results computed
         #: under one mode are never served to a run in another
-        self.run_mode = dict(run_mode) if run_mode else {}
+        self.mode = mode
         self._module_hashes: dict[str, str] = {}
 
     def key(self, job: Job) -> str:
@@ -105,7 +107,7 @@ class ResultCache:
                 "inputs": dict(job.inputs),
                 "code": self.fingerprint,
                 "fn_module": self._module_hashes[module_name],
-                "mode": self.run_mode,
+                "mode": self.mode.as_dict(),
             },
             sort_keys=True,
             default=str,

@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 from repro.core.backend import backend_names
+from repro.core.runmode import RunMode, guard_types
 from repro.harness.cache import ResultCache, code_fingerprint
 from repro.harness.events import EventLog
 from repro.harness.manifest import (
@@ -57,33 +58,16 @@ def cmd_evidence_run(args: argparse.Namespace) -> int:
     if not jobs:
         print(f"no jobs match filter {args.filter!r}", file=sys.stderr)
         return 2
-    optimize = getattr(args, "optimize", False)
-    backend = getattr(args, "backend", "interpreted")
-    check_cost = getattr(args, "check_cost", False)
-    check_maintenance = getattr(args, "check_maintenance", False)
-    shards = max(0, getattr(args, "shards", 0) or 0)
-    check_sharding = getattr(args, "check_sharding", False)
+    mode = RunMode(
+        optimize=getattr(args, "optimize", False),
+        backend=getattr(args, "backend", "interpreted"),
+        shards=getattr(args, "shards", 0) or 0,
+        checks=tuple(getattr(args, "checks", None) or ()),
+    )
     fingerprint = code_fingerprint()
-    # results depend on the evaluation mode, not just the code: key the
-    # cache on a structured mode dict so runs in different modes never
-    # share entries (and the fingerprint stays pure in the manifest)
-    run_mode: dict[str, object] = {"optimize": optimize, "backend": backend}
-    if check_cost:
-        # cost-audited results carry an extra payload block; keep them
-        # apart so plain runs never surface a result without one (and
-        # plain cache keys stay byte-identical to earlier schemas)
-        run_mode["check_cost"] = True
-    if check_maintenance:
-        run_mode["check_maintenance"] = True
-    if shards:
-        # sharded runs partition fixpoints across worker processes;
-        # keep their results apart from single-process entries
-        run_mode["shards"] = shards
-    if check_sharding:
-        run_mode["check_sharding"] = True
     cache = (
         None if args.no_cache
-        else ResultCache(Path(args.cache_dir), fingerprint, run_mode)
+        else ResultCache(Path(args.cache_dir), fingerprint, mode)
     )
     baseline = None
     if getattr(args, "baseline", None):
@@ -102,12 +86,7 @@ def cmd_evidence_run(args: argparse.Namespace) -> int:
     config = RunnerConfig(
         workers=max(1, args.jobs),
         default_timeout=args.timeout,
-        optimize=optimize,
-        backend=backend,
-        check_cost=check_cost,
-        check_maintenance=check_maintenance,
-        shards=shards,
-        check_sharding=check_sharding,
+        mode=mode,
     )
     if not getattr(args, "no_schedule", False):
         from repro.harness.schedule import schedule_jobs
@@ -136,13 +115,8 @@ def cmd_evidence_run(args: argparse.Namespace) -> int:
         default_timeout=config.default_timeout,
         code_fingerprint=fingerprint,
         cache_used=cache is not None,
+        mode=mode,
         certificate_checks=certificate_checks,
-        optimize=optimize,
-        backend=backend,
-        check_cost=check_cost,
-        check_maintenance=check_maintenance,
-        shards=shards,
-        check_sharding=check_sharding,
         baseline=baseline,
     )
     write_manifest(manifest, out_dir / "manifest.json")
@@ -223,33 +197,18 @@ def add_evidence_parser(sub: argparse._SubParsersAction) -> None:
         "checker (naive evaluation only) and gate the exit code on "
         "all of them being valid",
     )
-    erun.add_argument(
-        "--check-cost", action="store_true",
-        help="audit every fixpoint a job computes against the static "
-        "cardinality bounds (repro.analysis.cost); any measured "
-        "relation exceeding its predicted bound makes the run red. "
-        "Part of the cache's run-mode key",
-    )
-    erun.add_argument(
-        "--check-maintenance", action="store_true",
-        help="audit every incremental maintenance round against the "
-        "static delta bounds and strategy classification "
-        "(repro.analysis.maintain); any measured delta exceeding its "
-        "predicted bound makes the run red. Part of the cache's "
-        "run-mode key",
-    )
+    for name, guard in guard_types().items():
+        if guard.flag:
+            erun.add_argument(
+                guard.flag, action="append_const", dest="checks",
+                const=name, help=guard.help,
+            )
     erun.add_argument(
         "--shards", type=int, default=0, metavar="N",
         help="partition every large-enough fixpoint across N worker "
         "processes per the static shard plan (repro.analysis.shard); "
         "0 = single-process (default). Part of the cache's run-mode "
         "key",
-    )
-    erun.add_argument(
-        "--check-sharding", action="store_true",
-        help="audit every communication-free stratum against the shard "
-        "plan (no tuple may land on the wrong worker); any boundary "
-        "violation makes the run red. Part of the cache's run-mode key",
     )
     erun.add_argument(
         "--no-schedule", action="store_true",

@@ -68,33 +68,21 @@ def _run_both(
 ) -> dict[str, Any]:
     """Run sharded and single-process fixpoints; time and compare.
 
-    The sharded run is audited by the ambient :class:`ShardGuard` when
-    the harness installed one (``--check-sharding``); otherwise the job
-    installs its own so the conformance checks below always have a
+    The sharded run is audited by the run mode's :class:`ShardGuard`
+    when the harness enabled one (``--check-sharding``); otherwise the
+    job enables its own so the conformance checks below always have a
     tally to look at.
     """
-    from repro.analysis.shard import (
-        ShardGuard,
-        active_shard_guard,
-        set_shard_guard,
-    )
     from repro.core.evaluation import fixpoint
+    from repro.core.runmode import current, guards, run_mode
     from repro.core.stats import EngineStats
 
-    guard = active_shard_guard()
-    installed = False
-    if guard is None:
-        guard = ShardGuard()
-        set_shard_guard(guard)
-        installed = True
     stats = EngineStats()
-    try:
+    with run_mode(checks=(*current().checks, "shard")):
+        guard = guards()["shard"]
         start = time.perf_counter()
         sharded = fixpoint(program, base, stats=stats, shards=shards)
         sharded_s = time.perf_counter() - start
-    finally:
-        if installed:
-            set_shard_guard(None)
     start = time.perf_counter()
     single = fixpoint(program, base, shards=0)
     single_s = time.perf_counter() - start

@@ -14,21 +14,19 @@ import json
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.core.runmode import Guard, RunMode, guard_types
 from repro.core.stats import EngineStats
 from repro.harness.job import Job, JobResult, JobStatus
 
-MANIFEST_SCHEMA = 8  # 2: per-job certificate status; 3: optimize flag
+MANIFEST_SCHEMA = 9  # 2: per-job certificate status; 3: optimize flag
                      # + optional baseline engine delta; 4: backend name
-                     # + columnar join counters in the delta; 5: per-job
-                     # cost-guard blocks + auto-backend resolutions +
-                     # check_cost flag and summary; 6: per-job ivm
+                     # + columnar join counters in the delta; 5: cost
+                     # audits + auto-backend resolutions; 6: per-job ivm
                      # maintenance blocks, ivm counters in the delta,
-                     # ivm round totals in the summary; 7: per-job
-                     # maintain-guard blocks + check_maintenance flag,
-                     # maintain counters in the delta, maintain totals
-                     # in the summary; 8: shards/check_sharding flags,
-                     # per-job shard-guard blocks, shard counters in
-                     # the delta, shard totals in the summary
+                     # ivm round totals in the summary; 7: maintenance
+                     # audits; 8: shards flag and shard audits; 9: one
+                     # audits block per job, one summary.audits tally
+                     # and one violations list for every guard
 
 #: EngineStats counters diffed against a baseline manifest
 _DELTA_FIELDS = (
@@ -108,13 +106,8 @@ def build_manifest(
     default_timeout: float,
     code_fingerprint: str,
     cache_used: bool,
+    mode: RunMode = RunMode(),
     certificate_checks: Optional[Mapping[str, dict]] = None,
-    optimize: bool = False,
-    backend: str = "interpreted",
-    check_cost: bool = False,
-    check_maintenance: bool = False,
-    shards: int = 0,
-    check_sharding: bool = False,
     baseline: Optional[Mapping[str, Any]] = None,
 ) -> dict[str, Any]:
     """Assemble the manifest dict for one finished run.
@@ -125,51 +118,36 @@ def build_manifest(
     :func:`manifest_exit_code` additionally requires every job's
     certificate to validate.
 
-    ``optimize`` records whether the run evaluated through the
-    certified optimizer; ``backend`` records which evaluation engine
-    ran the jobs.  ``check_cost`` records that the run audited every
-    fixpoint against the static cardinality bounds: the summary gains
-    ``cost_checked`` (jobs that shipped a cost block) and ``cost_ok``
-    (those with zero bound violations), and :func:`manifest_exit_code`
-    turns any unsound prediction into a red run.  ``check_maintenance``
-    is the incremental analogue: jobs ship ``maintain`` blocks from the
-    :class:`~repro.analysis.maintain.MaintenanceGuard`, the summary
-    gains ``maintain_checked``/``maintain_ok``, and any measured
-    maintenance delta exceeding its static bound (or a counting round
-    where the analysis demands DRed) makes the run red.  Jobs that
-    drive a
-    :class:`repro.ivm.MaterializedView` ship an ``ivm`` block; when
-    any do, the summary gains ``ivm_jobs`` and ``ivm_rounds`` totals
-    (their ``ivm_state`` certificates are validated through the same
-    ``certificate_checks`` path as every other claim type).  ``shards``
-    records how many worker processes the run partitioned fixpoints
-    across (0 = single-process); ``check_sharding`` records that a
-    :class:`~repro.analysis.shard.ShardGuard` audited every
-    communication-free stratum for plan conformance: the summary gains
-    ``shard_checked``/``shard_ok`` and any tuple observed on the wrong
-    shard makes the run red.
-    ``baseline`` is a previously written manifest to
-    diff against: the new manifest gains a ``baseline`` block with
-    per-counter engine deltas (current − baseline), the before/after
-    evidence for the optimizer's or backend's effect on the same jobs.
+    ``mode`` is the :class:`~repro.core.runmode.RunMode` the jobs ran
+    under; its ``optimize``, ``backend``, ``shards`` and ``checks`` are
+    recorded at the top level.  Every job entry carries the ``audits``
+    its guards shipped (:meth:`~repro.core.runmode.Guard.summary` by
+    guard name); ``summary.audits`` tallies, per audit, the jobs that
+    shipped a summary (``checked``) and those without violations
+    (``ok``), and the top-level ``violations`` list holds every
+    recorded violation tagged with its ``audit`` and ``job`` — any
+    entry makes the run red.  Jobs that drive a
+    :class:`repro.ivm.MaterializedView` ship an ``ivm`` block; when any
+    do, the summary gains ``ivm_jobs`` and ``ivm_rounds`` totals.
+    ``baseline`` is a previously written manifest to diff against: the
+    new manifest gains a ``baseline`` block with per-counter engine
+    deltas (current − baseline), the before/after evidence for the
+    optimizer's or backend's effect on the same jobs.
     """
     engine_totals = EngineStats()
     job_entries = {}
     counts = {key: 0 for key in _STATUS_KEYS.values()}
     cached = 0
     certified = 0
-    cost_checked = 0
-    cost_ok = 0
-    maintain_checked = 0
-    maintain_ok = 0
-    shard_checked = 0
-    shard_ok = 0
+    audits = {
+        name: {"checked": 0, "ok": 0}
+        for name, guard in guard_types().items()
+        if guard.enabled(mode)
+    }
     ivm_jobs = 0
     ivm_rounds = 0
     mismatches = []
-    cost_violations = []
-    maintain_violations = []
-    shard_violations = []
+    violations = []
     for job in jobs:
         result = results.get(job.name)
         if result is None:  # defensive: runner always reports every job
@@ -188,36 +166,16 @@ def build_manifest(
                 "expected": result.expected,
                 "measured_verdict": result.verdict,
             })
-        if result.cost is not None:
-            cost_checked += 1
-            violations = result.cost.get("violations") or []
-            if violations:
-                cost_violations.append({
-                    "job": job.name,
-                    "violations": list(violations),
-                })
-            else:
-                cost_ok += 1
-        if result.maintain is not None:
-            maintain_checked += 1
-            violations = result.maintain.get("violations") or []
-            if violations:
-                maintain_violations.append({
-                    "job": job.name,
-                    "violations": list(violations),
-                })
-            else:
-                maintain_ok += 1
-        if result.shard is not None:
-            shard_checked += 1
-            violations = result.shard.get("violations") or []
-            if violations:
-                shard_violations.append({
-                    "job": job.name,
-                    "violations": list(violations),
-                })
-            else:
-                shard_ok += 1
+        for name, audit in sorted(result.audits.items()):
+            tally = audits.setdefault(name, {"checked": 0, "ok": 0})
+            tally["checked"] += 1
+            found = audit.get("violations") or []
+            if not found:
+                tally["ok"] += 1
+            violations.extend(
+                {"audit": name, "job": job.name, **violation}
+                for violation in found
+            )
         if result.ivm is not None:
             ivm_jobs += 1
             ivm_rounds += int(result.ivm.get("rounds", 0))
@@ -241,23 +199,15 @@ def build_manifest(
             if check["status"] == "valid":
                 certified += 1
         job_entries[job.name] = entry
-    summary = {
+    summary: dict[str, Any] = {
         "total": len(jobs),
         **counts,
         "cached": cached,
         "wall_seconds": round(wall_seconds, 3),
+        "audits": dict(sorted(audits.items())),
     }
     if certificate_checks is not None:
         summary["certified"] = certified
-    if check_cost:
-        summary["cost_checked"] = cost_checked
-        summary["cost_ok"] = cost_ok
-    if check_maintenance:
-        summary["maintain_checked"] = maintain_checked
-        summary["maintain_ok"] = maintain_ok
-    if check_sharding:
-        summary["shard_checked"] = shard_checked
-        summary["shard_ok"] = shard_ok
     if ivm_jobs:
         summary["ivm_jobs"] = ivm_jobs
         summary["ivm_rounds"] = ivm_rounds
@@ -270,17 +220,13 @@ def build_manifest(
         "workers": workers,
         "default_timeout_s": default_timeout,
         "cache_used": cache_used,
-        "optimize": optimize,
-        "backend": backend,
-        "check_cost": check_cost,
-        "check_maintenance": check_maintenance,
-        "shards": shards,
-        "check_sharding": check_sharding,
+        "optimize": mode.optimize,
+        "backend": mode.backend,
+        "shards": mode.shards,
+        "checks": list(mode.checks),
         "jobs": job_entries,
         "mismatches": mismatches,
-        "cost_violations": cost_violations,
-        "maintain_violations": maintain_violations,
-        "shard_violations": shard_violations,
+        "violations": violations,
         "engine_totals": engine_totals.to_dict(),
         "summary": summary,
     }
@@ -301,41 +247,38 @@ def build_manifest(
 
 def manifest_exit_code(manifest: dict[str, Any]) -> int:
     """0 iff every job ended OK (matched verdict, no failures/skips),
-    when certificate checking ran every certificate validated, when
-    cost checking ran no static bound was ever exceeded, and when
-    maintenance checking ran every round stayed within its predicted
-    delta bound on the planned strategy."""
+    when certificate checking ran every certificate validated, and no
+    audit recorded a violation (every job that shipped an audit
+    summary came back clean)."""
     summary = manifest["summary"]
     if summary["ok"] != summary["total"]:
         return 1
     if "certified" in summary and summary["certified"] != summary["total"]:
         return 1
-    if "cost_checked" in summary:
-        if summary["cost_ok"] != summary["cost_checked"]:
+    for tally in (summary.get("audits") or {}).values():
+        if tally["ok"] != tally["checked"]:
             return 1
-        if manifest.get("cost_violations"):
-            return 1
-    if "maintain_checked" in summary:
-        if summary["maintain_ok"] != summary["maintain_checked"]:
-            return 1
-        if manifest.get("maintain_violations"):
-            return 1
-    if "shard_checked" in summary:
-        if summary["shard_ok"] != summary["shard_checked"]:
-            return 1
-        if manifest.get("shard_violations"):
-            return 1
+    if manifest.get("violations"):
+        return 1
     return 0
 
 
 def write_manifest(manifest: dict[str, Any], path: Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    # compact: indentation around certificates was most of the bytes;
+    # ``evidence report`` is the human view
+    path.write_text(json.dumps(manifest, sort_keys=True))
 
 
 def load_manifest(path: Path) -> dict[str, Any]:
     return json.loads(Path(path).read_text())
+
+
+def _guard_type(name: str) -> type[Guard]:
+    """The registered guard for an audit name; the generic base for
+    names this version does not know (manifests from newer code)."""
+    return guard_types().get(name, Guard)
 
 
 def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
@@ -352,29 +295,16 @@ def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
         check = entry.get("certificate_check")
         if check is not None:
             flags.append(f"cert {check['status']}")
-        cost = entry.get("cost")
-        if cost is not None:
-            violated = len(cost.get("violations") or [])
-            flags.append(
-                f"cost {'VIOLATED' if violated else 'ok'} "
-                f"({cost.get('predicates', 0)} bounds)"
-            )
         ivm = entry.get("ivm")
         if ivm is not None:
             flags.append(f"ivm {ivm.get('rounds', 0)} rounds")
-        maintain = entry.get("maintain")
-        if maintain is not None:
-            violated = len(maintain.get("violations") or [])
+        audits = sorted((entry.get("audits") or {}).items())
+        for audit_name, audit in audits:
+            key, unit = _guard_type(audit_name).count
+            violated = audit.get("violations")
             flags.append(
-                f"maintain {'VIOLATED' if violated else 'ok'} "
-                f"({maintain.get('checks', 0)} rounds)"
-            )
-        shard = entry.get("shard")
-        if shard is not None:
-            violated = len(shard.get("violations") or [])
-            flags.append(
-                f"shard {'VIOLATED' if violated else 'ok'} "
-                f"({shard.get('strata', 0)} strata)"
+                f"{audit_name} {'VIOLATED' if violated else 'ok'} "
+                f"({audit.get(key, 0)} {unit})"
             )
         flag_text = f" ({', '.join(flags)})" if flags else ""
         lines.append(
@@ -391,46 +321,11 @@ def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
             )
         if verbose and entry.get("measured"):
             lines.append(f"            {entry['measured']}")
-        if cost is not None:
-            for violation in cost.get("violations") or []:
-                lines.append(
-                    f"            cost bound VIOLATED: "
-                    f"{violation['pred']} measured "
-                    f"{violation['measured']} > bound "
-                    f"{violation['bound']} ({violation['basis']})"
-                )
-        if maintain is not None:
-            for violation in maintain.get("violations") or []:
-                if violation.get("kind") == "strategy":
-                    lines.append(
-                        f"            maintain strategy VIOLATED: "
-                        f"{violation['pred']} ran "
-                        f"{violation['actual']} where the analysis "
-                        f"demands {violation['planned']}"
-                    )
-                else:
-                    lines.append(
-                        f"            maintain delta VIOLATED: "
-                        f"{violation['pred']} measured "
-                        f"{violation['measured']} > bound "
-                        f"{violation['bound']} ({violation['basis']})"
-                    )
-        if shard is not None:
-            for violation in shard.get("violations") or []:
-                lines.append(
-                    f"            shard boundary VIOLATED: "
-                    f"{violation['pred']} fact {violation['fact']} "
-                    f"landed on worker {violation['worker']} but "
-                    f"hashes to {violation['owner']} "
-                    f"(stratum {violation['stratum']})"
-                )
-        resolution = entry.get("backend_resolution")
-        if verbose and resolution:
-            picks = ", ".join(
-                f"{r['backend']} (volume {r['volume']})"
-                for r in resolution
-            )
-            lines.append(f"            auto backend: {picks}")
+        for audit_name, audit in audits:
+            guard = _guard_type(audit_name)
+            for violation in audit.get("violations") or []:
+                line = guard.render_violation({"audit": audit_name, **violation})
+                lines.append(f"            {line}")
         if status in ("failed", "timeout") and entry.get("error"):
             last = entry["error"].strip().splitlines()[-1]
             lines.append(f"            {last}")
@@ -446,24 +341,11 @@ def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
             f"certificates: {summary['certified']}/{summary['total']} "
             "validated by the independent checker"
         )
-    if "cost_checked" in summary:
+    for name, tally in (summary.get("audits") or {}).items():
+        guard = _guard_type(name)
         lines.append(
-            f"cost bounds: {summary['cost_ok']}/"
-            f"{summary['cost_checked']} job(s) within the static "
-            "cardinality bounds"
-        )
-    if "maintain_checked" in summary:
-        lines.append(
-            f"maintenance: {summary['maintain_ok']}/"
-            f"{summary['maintain_checked']} job(s) within the static "
-            "delta bounds on the planned strategy"
-        )
-    if "shard_checked" in summary:
-        shards = manifest.get("shards", 0)
-        lines.append(
-            f"sharding: {summary['shard_ok']}/"
-            f"{summary['shard_checked']} job(s) conformant to the "
-            f"shard plan across {shards} worker(s)"
+            f"{guard.label or name}: {tally['ok']}/{tally['checked']} "
+            f"job(s) {guard.claim.format_map(manifest)}"
         )
     if "ivm_jobs" in summary:
         lines.append(

@@ -53,7 +53,6 @@ from repro.analysis.dependency import SCC, DependencyGraph
 from repro.analysis.maintain import (
     MAINTAIN_RULE_LIMIT,
     MaintainReport,
-    active_maintenance_guard,
     maintain_report,
 )
 from repro.core import stats as _stats
@@ -64,11 +63,11 @@ from repro.core.evaluation import (
     _PlanCache,
     _program_delta_patterns,
     _rule_derivations,
-    default_optimize,
     fixpoint,
 )
 from repro.core.homomorphism import _bindings_for_row, _pattern, homomorphisms
 from repro.core.instance import Instance
+from repro.core.runmode import active_guards, current
 from repro.core.stats import EngineStats
 
 Row = tuple[object, ...]
@@ -151,8 +150,8 @@ def _mixed_homomorphisms(
 class MaterializedView:
     """A live ``FPEval(Π, I)`` maintained under base-fact updates.
 
-    ``optimize=True`` (default: the ambient
-    :func:`repro.core.evaluation.default_optimize`) runs the universally
+    ``optimize=True`` (default: the run mode's, see
+    :func:`repro.core.runmode.current`) runs the universally
     sound syntactic optimizer passes **once at construction** — they
     preserve every IDB relation on every instance, so the maintained
     state stays the fixpoint of the *source* program too, which is what
@@ -162,8 +161,8 @@ class MaterializedView:
     goal.
 
     ``backend`` picks the engine for insert propagation (``None`` → the
-    ambient :func:`repro.core.backend.default_backend`; ``"auto"``
-    resolves per round from the predicted join volume).
+    run mode's at construction; ``"auto"`` resolves per round from the
+    predicted join volume).
     """
 
     def __init__(
@@ -175,8 +174,9 @@ class MaterializedView:
         backend: Optional[str] = None,
     ) -> None:
         self.source_program = program
+        mode = current()
         if optimize is None:
-            optimize = default_optimize()
+            optimize = mode.optimize
         self.optimize = bool(optimize)
         if self.optimize:
             from repro.analysis.optimize import (
@@ -188,7 +188,7 @@ class MaterializedView:
                 with _stats.suspended():
                     program = syntactic_fixpoint_program(program)
         self.program = program
-        self.backend = backend
+        self.backend = backend if backend is not None else mode.backend
         self.base = base.copy() if base is not None else Instance()
         self.rounds = 0
 
@@ -367,8 +367,8 @@ class MaterializedView:
         """
         with _stats.maybe_collecting(stats):
             collector = _stats.active()
-            guard = active_maintenance_guard()
-            base_before = self.base.copy() if guard is not None else None
+            audits = active_guards()
+            base_before = self.base.copy() if audits else None
             retract_facts = [_as_fact(f) for f in retracts]
             insert_facts = [_as_fact(f) for f in inserts]
 
@@ -442,12 +442,9 @@ class MaterializedView:
                 plus={p: frozenset(r) for p, r in plus.items() if r},
                 minus={p: frozenset(r) for p, r in minus.items() if r},
             )
-            if guard is not None:
-                guard.check_round(
-                    self, round_,
-                    update_size=len(net_removed) + len(net_added),
-                    base_before=base_before,
-                )
+            update_size = len(net_removed) + len(net_added)
+            for guard in audits:
+                guard.on_round(self, round_, update_size, base_before)
             return round_
 
     # ------------------------------------------------------------------
@@ -498,27 +495,11 @@ class MaterializedView:
 
     def _resolve_backend(self, collector: Optional[EngineStats]) -> str:
         """The engine for this round's insert propagation."""
-        from repro.core.backend import AutoBackend, default_backend
+        if self.backend != "auto":
+            return self.backend
+        from repro.core.backend import AutoBackend
 
-        name = self.backend if self.backend is not None else default_backend()
-        if name != "auto":
-            return name
-        from repro.analysis.cost import predicted_join_volume
-        from repro.core.backend import _AUTO_RESOLUTIONS
-
-        with _stats.suspended():
-            volume = predicted_join_volume(self.program, self.state)
-        threshold = AutoBackend.DEFAULT_THRESHOLD
-        chosen = "columnar" if volume >= threshold else "interpreted"
-        _AUTO_RESOLUTIONS.append(
-            {"backend": chosen, "volume": volume, "threshold": threshold}
-        )
-        if collector is not None:
-            if chosen == "columnar":
-                collector.auto_backend_columnar += 1
-            else:
-                collector.auto_backend_interpreted += 1
-        return chosen
+        return AutoBackend().choose(self.program, self.state, collector)
 
     # ------------------------------------------------------------------
     # counting maintenance (non-recursive strata)
@@ -764,10 +745,13 @@ class MaterializedView:
                     delta.add_tuple(p, row)
             fresh: dict[str, set[Row]] = {}
             for key, rule in rules:
-                for fact in _delta_derivations(
+                # materialize before applying: the join reads the very
+                # relations the additions grow
+                derived = list(_delta_derivations(
                     rule, self.state, delta, tracked, key,
                     self._plans, self._delta_patterns[key],
-                ):
+                ))
+                for fact in derived:
                     if self._apply_add(fact.pred, fact.args, plus, minus):
                         if fact.args in suspects.get(fact.pred, _EMPTY):
                             rederived += 1

@@ -23,10 +23,13 @@ Three layers, outermost first:
 
 Maintenance rounds run in a worker thread (``asyncio.to_thread``) so
 the event loop keeps accepting — and therefore coalescing — requests
-while a round is in flight.  Rounds are serialized process-wide by one
-lock: the engine's ambient stats-collector stack is process-global, so
-two concurrent ``apply`` calls from different threads would interleave
-push/pop on it.
+while a round is in flight.  Each thread sees its own run mode and
+stats collector (both are context variables), so rounds on different
+sessions could overlap; they are still serialized process-wide by one
+lock.  Rounds are pure-Python CPU work, so under the GIL concurrent
+rounds would interleave rather than overlap, and the lock keeps
+per-round latency predictable and gives shutdown a single point at
+which to drain in-flight maintenance.
 
 Compiled programs are cached across sessions in :class:`ProgramCache`,
 keyed on content-addressed fingerprints: the hash of every source file
@@ -239,8 +242,9 @@ class ServeService:
         self.cache = cache if cache is not None else ProgramCache()
         self.sessions: dict[str, Session] = {}
         self.shutdown_requested = asyncio.Event()
-        # one maintenance round at a time, process-wide: the engine's
-        # ambient stats-collector stack is global, not per-thread
+        # one maintenance round at a time, process-wide: CPU-bound
+        # rounds gain nothing from overlapping under the GIL, and
+        # shutdown drains in-flight maintenance through this lock
         self._maintenance = asyncio.Lock()
 
     # -- dispatch ------------------------------------------------------
@@ -322,7 +326,7 @@ class ServeService:
             "cached_program": cached,
             "program_sha256": self.cache.key(text, optimize)[1],
             "optimize": optimize,
-            "backend": backend or "auto",
+            "backend": view.backend,
             "certify": certify,
             "facts": len(view.state),
             "idb": sorted(view.program.idb_predicates()),

@@ -6,7 +6,6 @@ from repro.analysis.cost import (
     COST_RULE_LIMIT,
     CostParameters,
     atom_match_bound,
-    cost_checking,
     cost_report,
     predicate_bounds,
     predicted_join_volume,
@@ -14,6 +13,7 @@ from repro.analysis.cost import (
 from repro.core.atoms import Atom
 from repro.core.evaluation import fixpoint
 from repro.core.parser import parse_instance, parse_program
+from repro.core.runmode import active_guards, guards, run_mode
 from repro.core.stats import EngineStats, collecting
 from repro.core.terms import Variable
 
@@ -248,9 +248,9 @@ def test_as_dict_is_json_ready():
 # ---------------------------------------------------------------------------
 def test_cost_guard_audits_every_fixpoint():
     instance = chain_instance(10, 5)
-    with cost_checking() as guard:
+    with run_mode(checks=("cost",)):
         fixpoint(REACH, instance)
-    summary = guard.summary()
+        summary = guards()["cost"].summary()
     assert summary["checks"] == 1
     assert summary["predicates"] >= 2
     assert summary["violations"] == []
@@ -259,7 +259,7 @@ def test_cost_guard_audits_every_fixpoint():
 def test_cost_guard_counts_into_engine_stats():
     instance = chain_instance(10, 5)
     stats = EngineStats()
-    with cost_checking(), collecting(stats):
+    with run_mode(checks=("cost",)), collecting(stats):
         fixpoint(REACH, instance)
     assert stats.cost_checks == 1
     assert stats.cost_bounds_checked >= 2
@@ -279,7 +279,7 @@ def test_cost_guard_reports_a_violated_bound():
         parse_instance("R(1). U(2). U(3)."),
     )
     guard = CostGuard()
-    guard(program, instance, bloated)
+    guard.on_fixpoint(program, instance, bloated, None)
     summary = guard.summary()
     assert summary["violations"]
     violation = summary["violations"][0]
@@ -288,12 +288,12 @@ def test_cost_guard_reports_a_violated_bound():
 
 
 def test_cost_checking_restores_previous_guard():
-    from repro.core import evaluation
+    from repro.analysis.cost import CostGuard
 
-    before = evaluation._COST_GUARD
-    with cost_checking():
-        assert evaluation._COST_GUARD is not before
-    assert evaluation._COST_GUARD is before
+    before = active_guards()
+    with run_mode(checks=("cost",)):
+        assert isinstance(guards()["cost"], CostGuard)
+    assert active_guards() == before
 
 
 # ---------------------------------------------------------------------------

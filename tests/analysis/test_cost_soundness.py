@@ -126,7 +126,7 @@ def test_cost_guard_agrees_with_the_direct_check(program, instance):
     the analysis bounds recomputed independently."""
     guard = CostGuard()
     result = fixpoint(program, instance)
-    guard(program, instance, result)
+    guard.on_fixpoint(program, instance, result, None)
     summary = guard.summary()
     assert summary["violations"] == [], (
         f"guard flagged an unsound bound:\n{summary['violations']}\n"

@@ -15,8 +15,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.maintain import maintain_report, maintenance_checking
+from repro.analysis.maintain import maintain_report
 from repro.core.instance import Instance
+from repro.core.runmode import guards, run_mode
 from repro.ivm import MaterializedView
 
 from tests.analysis.test_cost_soundness import (
@@ -74,7 +75,8 @@ def test_measured_deltas_stay_within_predicted_bounds(
     every round against bounds recomputed on the pre-round base and
     must flag nothing."""
     view = MaterializedView(program, base.copy())
-    with maintenance_checking() as guard:
+    with run_mode(checks=("maintain",)):
+        guard = guards()["maintain"]
         for inserts, retracts in schedule:
             view.apply(inserts=inserts, retracts=retracts)
             assert view.state == view.recompute(), (

@@ -11,14 +11,12 @@ from repro.analysis.shard import (
     EXCHANGE_REQUIRED,
     SEQUENTIAL,
     ShardGuard,
-    active_shard_guard,
-    set_shard_guard,
     shard_of,
     shard_report,
-    sharding_checking,
 )
 from repro.core import parse_program
 from repro.core.instance import Instance
+from repro.core.runmode import guards, run_mode
 
 
 def _tenant_program():
@@ -178,7 +176,7 @@ def test_guard_accepts_conformant_partition():
         shard_of(g, 2): [("Reach", (g, 0, 1))] for g in range(8)
     }
     guard = ShardGuard()
-    guard.check_stratum(plan, 2, per_worker)
+    guard.on_stratum(plan, 2, per_worker)
     summary = guard.summary()
     assert summary["checks"] == 1
     assert summary["strata"] == 1
@@ -192,7 +190,7 @@ def test_guard_flags_a_fact_on_the_wrong_shard():
     owner = shard_of(7, 2)
     wrong = 1 - owner
     guard = ShardGuard()
-    guard.check_stratum(plan, 2, {wrong: [("Reach", (7, 0, 1))]})
+    guard.on_stratum(plan, 2, {wrong: [("Reach", (7, 0, 1))]})
     violations = guard.summary()["violations"]
     assert len(violations) == 1
     assert violations[0]["kind"] == "boundary"
@@ -205,7 +203,7 @@ def test_guard_only_audits_communication_free_strata():
     plan = shard_report(_tc_program(), workers=2).plan_of("Reach")
     assert plan is not None and plan.classification == EXCHANGE_REQUIRED
     guard = ShardGuard()
-    guard.check_stratum(plan, 2, {0: [("Reach", (0, 1))]})
+    guard.on_stratum(plan, 2, {0: [("Reach", (0, 1))]})
     summary = guard.summary()
     assert summary["checks"] == 1
     assert summary["strata"] == 0  # nothing to audit
@@ -213,18 +211,22 @@ def test_guard_only_audits_communication_free_strata():
 
 
 def test_sharding_checking_installs_and_restores_the_guard():
-    assert active_shard_guard() is None
-    with sharding_checking() as guard:
-        assert active_shard_guard() is guard
-    assert active_shard_guard() is None
+    assert "shard" not in guards()
+    with run_mode(checks=("shard",)):
+        assert isinstance(guards()["shard"], ShardGuard)
+    assert "shard" not in guards()
 
 
 def test_set_shard_guard_returns_previous():
-    first = ShardGuard()
-    assert set_shard_guard(first) is None
-    second = ShardGuard()
-    assert set_shard_guard(second) is first
-    assert set_shard_guard(None) is second
+    with run_mode(checks=("shard",)):
+        first = guards()["shard"]
+        # a guard that stays enabled keeps its instance (and tally) ...
+        with run_mode(shards=2):
+            assert guards()["shard"] is first
+        # ... a block that drops it hides it, and exit restores it
+        with run_mode(checks=()):
+            assert "shard" not in guards()
+        assert guards()["shard"] is first
 
 
 # ---------------------------------------------------------------------------

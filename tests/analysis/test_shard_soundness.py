@@ -21,9 +21,9 @@ import contextlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.shard import sharding_checking
 from repro.core import shard as shard_module
-from repro.core.evaluation import fixpoint, set_default_optimize
+from repro.core.evaluation import fixpoint
+from repro.core.runmode import guards, run_mode
 from repro.core.shard import sharded_fixpoint
 
 from tests.analysis.test_cost_soundness import (
@@ -69,8 +69,7 @@ def test_sharded_fixpoint_equals_single_process(
         "shards": shards, "strategy": strategy,
         "backend": backend, "optimize": optimize,
     }
-    previous = set_default_optimize(optimize)
-    try:
+    with run_mode(optimize=optimize):
         single = fixpoint(
             program, base.copy(), strategy=strategy, backend=backend
         )
@@ -79,8 +78,6 @@ def test_sharded_fixpoint_equals_single_process(
                 program, base.copy(), shards,
                 strategy=strategy, backend=backend,
             )
-    finally:
-        set_default_optimize(previous)
     assert sharded == single, (
         "sharded fixpoint diverged from single-process"
         + _context(program, base, config)
@@ -99,7 +96,8 @@ def test_communication_free_strata_never_cross_shards(
     """The deployed form of the conformance property: the ambient
     guard audits every communication-free stratum of the sharded run
     and must flag nothing."""
-    with _forced_sharding(), sharding_checking() as guard:
+    with _forced_sharding(), run_mode(checks=("shard",)):
+        guard = guards()["shard"]
         sharded = sharded_fixpoint(program, base.copy(), shards)
     single = fixpoint(program, base.copy())
     assert sharded == single, (

@@ -14,17 +14,16 @@ import pytest
 from repro.core import stats as _stats
 from repro.core.backend import (
     backend_names,
-    default_backend,
     get_backend,
     register_backend,
     resolve_backend,
-    set_default_backend,
 )
 from repro.core.columnar import columnar_fixpoint
 from repro.core.datalog import DatalogQuery
 from repro.core.evaluation import fixpoint
 from repro.core.instance import Instance
 from repro.core.parser import parse_instance, parse_program, parse_query
+from repro.core.runmode import current, guards, run_mode
 from repro.core.stats import EngineStats
 
 
@@ -58,19 +57,16 @@ def test_get_backend_unknown_name_is_loud():
 
 
 def test_set_default_backend_returns_previous_and_validates():
-    assert default_backend() == "interpreted"
-    previous = set_default_backend("columnar")
-    try:
-        assert previous == "interpreted"
-        assert default_backend() == "columnar"
+    assert current().backend == "interpreted"
+    with run_mode(backend="columnar") as mode:
+        assert mode.backend == current().backend == "columnar"
         assert resolve_backend(None).name == "columnar"
-        # an invalid name is rejected without clobbering the default
+        # an invalid name is rejected without clobbering the mode
         with pytest.raises(ValueError, match="unknown backend"):
-            set_default_backend("nope")
-        assert default_backend() == "columnar"
-    finally:
-        set_default_backend(previous)
-    assert default_backend() == "interpreted"
+            with run_mode(backend="nope"):
+                pass
+        assert current().backend == "columnar"
+    assert current().backend == "interpreted"
 
 
 def test_register_backend_makes_name_resolvable():
@@ -124,11 +120,8 @@ def test_columnar_unknown_strategy_is_loud():
 def test_fixpoint_uses_ambient_default_backend():
     inst = _chain(6)
     stats = EngineStats()
-    previous = set_default_backend("columnar")
-    try:
+    with run_mode(backend="columnar"):
         result = fixpoint(TC, inst, stats=stats)
-    finally:
-        set_default_backend(previous)
     assert result == fixpoint(TC, inst)
     assert stats.hom_calls == 0
     assert stats.join_probe_rows > 0
@@ -234,8 +227,8 @@ def test_cli_eval_backend_flag(tmp_path, capsys):
     columnar = capsys.readouterr().out
     assert plain == columnar
     assert "(1, 3)" in columnar
-    # the ambient default is restored after the command
-    assert default_backend() == "interpreted"
+    # the run mode is restored after the command
+    assert current().backend == "interpreted"
 
 
 def test_cli_decide_accepts_backend_flag(tmp_path, capsys):
@@ -251,7 +244,7 @@ def test_cli_decide_accepts_backend_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "verdict" in out
-    assert default_backend() == "interpreted"
+    assert current().backend == "interpreted"
 
 
 # ---------------------------------------------------------------------------
@@ -265,47 +258,43 @@ def test_auto_backend_is_registered():
     assert isinstance(get_backend("auto"), AutoBackend)
 
 
-def test_auto_backend_small_volume_stays_interpreted():
-    from repro.core.backend import auto_resolutions, reset_auto_resolutions
+def _auto_resolutions(*instances, backend=None):
+    """Run TC on each instance under the auto run mode; the recorded
+    backend choices."""
+    with run_mode(backend="auto"):
+        for instance in instances:
+            (backend or get_backend("auto")).fixpoint(TC, instance)
+        return guards()["backend"].summary()["resolutions"]
 
-    reset_auto_resolutions()
+
+def test_auto_backend_small_volume_stays_interpreted():
     small = _chain(5)
-    assert fixpoint(TC, small, backend="auto") == fixpoint(TC, small)
-    (resolution,) = auto_resolutions()
+    with run_mode(backend="auto"):
+        assert fixpoint(TC, small) == fixpoint(TC, small, backend="interpreted")
+        (resolution,) = guards()["backend"].resolutions
     assert resolution["backend"] == "interpreted"
     assert 0 < resolution["volume"] < resolution["threshold"]
 
 
 def test_auto_backend_large_volume_goes_columnar():
-    from repro.core.backend import auto_resolutions, reset_auto_resolutions
-
-    reset_auto_resolutions()
     big = _chain(120)
-    assert fixpoint(TC, big, backend="auto") == fixpoint(TC, big)
-    (resolution,) = auto_resolutions()
+    with run_mode(backend="auto"):
+        assert fixpoint(TC, big) == fixpoint(TC, big, backend="interpreted")
+        (resolution,) = guards()["backend"].resolutions
     assert resolution["backend"] == "columnar"
     assert resolution["volume"] >= resolution["threshold"]
 
 
 def test_auto_backend_threshold_is_tunable():
-    from repro.core.backend import (
-        AutoBackend,
-        auto_resolutions,
-        reset_auto_resolutions,
-    )
+    from repro.core.backend import AutoBackend
 
-    reset_auto_resolutions()
     eager = AutoBackend(threshold=1)
-    eager.fixpoint(TC, _chain(4))
-    (resolution,) = auto_resolutions()
+    (resolution,) = _auto_resolutions(_chain(4), backend=eager)
     assert resolution["backend"] == "columnar"
     assert resolution["threshold"] == 1
 
 
 def test_auto_backend_counts_choices_into_engine_stats():
-    from repro.core.backend import reset_auto_resolutions
-
-    reset_auto_resolutions()
     stats = EngineStats()
     fixpoint(TC, _chain(5), backend="auto", stats=stats)
     fixpoint(TC, _chain(120), backend="auto", stats=stats)
@@ -314,14 +303,13 @@ def test_auto_backend_counts_choices_into_engine_stats():
 
 
 def test_auto_resolutions_reset_and_accumulate():
-    from repro.core.backend import auto_resolutions, reset_auto_resolutions
-
-    reset_auto_resolutions()
+    # choices accumulate within one auto run-mode block ...
+    assert len(_auto_resolutions(_chain(3), _chain(3))) == 2
+    # ... and every block starts a fresh tally
+    assert len(_auto_resolutions(_chain(3))) == 1
+    # outside an auto block no backend guard is installed at all
     fixpoint(TC, _chain(3), backend="auto")
-    fixpoint(TC, _chain(3), backend="auto")
-    assert len(auto_resolutions()) == 2
-    reset_auto_resolutions()
-    assert auto_resolutions() == []
+    assert "backend" not in guards()
 
 
 def test_cli_eval_accepts_auto_backend(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.core.runmode import RunMode
 from repro.harness.cache import ResultCache, code_fingerprint
 from repro.harness.job import Job, JobResult, JobStatus
 
@@ -99,14 +100,16 @@ def test_run_mode_partitions_the_key_space(tmp_path):
     """Same job + code in different run modes must never share keys."""
     job = _job()
     modes = [
-        None,
-        {"optimize": False, "backend": "interpreted"},
-        {"optimize": True, "backend": "interpreted"},
-        {"optimize": False, "backend": "columnar"},
-        {"optimize": True, "backend": "columnar"},
+        RunMode(),
+        RunMode(optimize=True),
+        RunMode(backend="columnar"),
+        RunMode(optimize=True, backend="columnar"),
+        RunMode(shards=2),
+        RunMode(checks=("cost",)),
+        RunMode(checks=("cost", "maintain")),
     ]
     keys = [
-        ResultCache(tmp_path, fingerprint="fp", run_mode=mode).key(job)
+        ResultCache(tmp_path, fingerprint="fp", mode=mode).key(job)
         for mode in modes
     ]
     assert len(set(keys)) == len(keys)
@@ -116,11 +119,13 @@ def test_run_mode_key_is_order_insensitive_and_deterministic(tmp_path):
     job = _job()
     a = ResultCache(
         tmp_path, fingerprint="fp",
-        run_mode={"optimize": True, "backend": "columnar"},
+        mode=RunMode(optimize=True, backend="columnar",
+                     checks=("maintain", "cost")),
     )
     b = ResultCache(
         tmp_path, fingerprint="fp",
-        run_mode={"backend": "columnar", "optimize": True},
+        mode=RunMode(checks=("cost", "maintain", "cost"),
+                     backend="columnar", optimize=True),
     )
     assert a.key(job) == b.key(job)
 
@@ -129,13 +134,9 @@ def test_result_stored_under_one_mode_misses_in_another(tmp_path):
     """A cached verdict from an interpreted run must not answer a
     columnar run (and vice versa)."""
     job = _job()
-    interpreted = ResultCache(
-        tmp_path, fingerprint="fp",
-        run_mode={"optimize": False, "backend": "interpreted"},
-    )
+    interpreted = ResultCache(tmp_path, fingerprint="fp", mode=RunMode())
     columnar = ResultCache(
-        tmp_path, fingerprint="fp",
-        run_mode={"optimize": False, "backend": "columnar"},
+        tmp_path, fingerprint="fp", mode=RunMode(backend="columnar"),
     )
     interpreted.store(job, _result())
     assert columnar.load(job) is None

@@ -241,13 +241,13 @@ def test_evidence_run_check_cost_end_to_end(tmp_path, capsys):
     assert code == 0
     assert "cost bounds:" in out
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["check_cost"] is True
-    summary = manifest["summary"]
-    assert summary["cost_checked"] == summary["cost_ok"] > 0
-    assert manifest["cost_violations"] == []
+    assert manifest["checks"] == ["cost"]
+    tally = manifest["summary"]["audits"]["cost"]
+    assert tally["checked"] == tally["ok"] > 0
+    assert manifest["violations"] == []
     for job in manifest["jobs"].values():
         if job["status"] == "ok":
-            assert job["cost"]["violations"] == []
+            assert job["audits"]["cost"]["violations"] == []
 
 
 def test_evidence_run_check_cost_keys_the_cache(tmp_path, capsys):
@@ -267,7 +267,7 @@ def test_evidence_run_check_cost_keys_the_cache(tmp_path, capsys):
     ]) == 0
     manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert manifest["summary"]["cached"] == 0
-    assert manifest["summary"]["cost_checked"] > 0
+    assert manifest["summary"]["audits"]["cost"]["checked"] > 0
 
 
 def test_evidence_run_verbose_prints_the_schedule(tmp_path, capsys):
@@ -315,10 +315,11 @@ def test_evidence_run_auto_backend_records_resolutions(tmp_path, capsys):
     assert manifest["backend"] == "auto"
     resolved = [
         job for job in manifest["jobs"].values()
-        if job["status"] == "ok" and job.get("backend_resolution")
+        if job["status"] == "ok"
+        and job["audits"]["backend"]["resolutions"]
     ]
     assert resolved
     for job in resolved:
-        for entry in job["backend_resolution"]:
+        for entry in job["audits"]["backend"]["resolutions"]:
             assert entry["backend"] in ("interpreted", "columnar")
             assert entry["threshold"] == 4096

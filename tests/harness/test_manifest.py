@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.core.runmode import RunMode
 from repro.harness.events import EventLog, read_events
 from repro.harness.job import Job, JobResult, JobStatus
 from repro.harness.manifest import (
@@ -113,7 +114,8 @@ def test_manifest_records_optimize_flag():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=1, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, optimize=True,
+        code_fingerprint="fp", cache_used=False,
+        mode=RunMode(optimize=True),
     )
     assert manifest["optimize"] is True
     assert "optimized" in render_manifest(manifest)
@@ -139,7 +141,7 @@ def test_manifest_baseline_engine_delta():
         jobs, result(40),
         wall_seconds=1.0, workers=1, default_timeout=30.0,
         code_fingerprint="fp", cache_used=False,
-        optimize=True, baseline=base,
+        mode=RunMode(optimize=True), baseline=base,
     )
     block = tuned["baseline"]
     assert block["engine_delta"]["hom_calls"] == -60
@@ -177,14 +179,16 @@ def test_manifest_schema_is_eight():
 
     jobs = [_job("a")]
     results = {"a": JobResult("a", JobStatus.OK, "fine", verdict="fine")}
-    assert MANIFEST_SCHEMA == 8
-    assert _build(jobs, results)["schema"] == 8
+    assert MANIFEST_SCHEMA == 9
+    assert _build(jobs, results)["schema"] == 9
 
 
 def _cost_result(name, violations):
     return JobResult(
         name, JobStatus.OK, "fine", verdict="fine",
-        cost={"checks": 2, "predicates": 3, "violations": violations},
+        audits={"cost": {
+            "checks": 2, "predicates": 3, "violations": violations,
+        }},
     )
 
 
@@ -197,12 +201,14 @@ def test_manifest_cost_summary_green():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, check_cost=True,
+        code_fingerprint="fp", cache_used=False,
+        mode=RunMode(checks=("cost",)),
     )
-    assert manifest["check_cost"] is True
-    assert manifest["summary"]["cost_checked"] == 2
-    assert manifest["summary"]["cost_ok"] == 2
-    assert manifest["cost_violations"] == []
+    assert manifest["checks"] == ["cost"]
+    assert manifest["summary"]["audits"] == {
+        "cost": {"checked": 2, "ok": 2}
+    }
+    assert manifest["violations"] == []
     assert manifest_exit_code(manifest) == 0
     rendered = render_manifest(manifest)
     assert "cost bounds: 2/2" in rendered
@@ -218,12 +224,12 @@ def test_manifest_cost_violation_gates_the_exit_code():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, check_cost=True,
+        code_fingerprint="fp", cache_used=False,
+        mode=RunMode(checks=("cost",)),
     )
-    assert manifest["summary"]["cost_checked"] == 1
-    assert manifest["summary"]["cost_ok"] == 0
-    assert manifest["cost_violations"] == [
-        {"job": "a", "violations": [violation]}
+    assert manifest["summary"]["audits"]["cost"] == {"checked": 1, "ok": 0}
+    assert manifest["violations"] == [
+        {"audit": "cost", "job": "a", **violation}
     ]
     assert manifest_exit_code(manifest) == 1
     rendered = render_manifest(manifest)
@@ -234,21 +240,22 @@ def test_manifest_without_check_cost_has_no_cost_summary():
     jobs = [_job("a")]
     results = {"a": JobResult("a", JobStatus.OK, "fine", verdict="fine")}
     manifest = _build(jobs, results)
-    assert "cost_checked" not in manifest["summary"]
+    assert manifest["summary"]["audits"] == {}
     assert manifest_exit_code(manifest) == 0
 
 
 def test_job_result_cost_fields_round_trip():
     result = JobResult(
         "a", JobStatus.OK, "fine", verdict="fine",
-        cost={"checks": 1, "predicates": 2, "violations": []},
-        backend_resolution=[
-            {"backend": "columnar", "volume": 9000, "threshold": 4096}
-        ],
+        audits={
+            "cost": {"checks": 1, "predicates": 2, "violations": []},
+            "backend": {"checks": 1, "violations": [], "resolutions": [
+                {"backend": "columnar", "volume": 9000, "threshold": 4096}
+            ]},
+        },
     )
     thawed = JobResult.from_dict(result.as_dict())
-    assert thawed.cost == result.cost
-    assert thawed.backend_resolution == result.backend_resolution
+    assert thawed.audits == result.audits
 
 
 def _ivm_result(name, rounds):
@@ -321,11 +328,11 @@ def test_manifest_baseline_delta_covers_ivm_counters():
 def _maintain_result(name, violations):
     return JobResult(
         name, JobStatus.OK, "fine", verdict="fine",
-        maintain={
+        audits={"maintain": {
             "checks": 4, "predicates": 8,
             "strategies": {"counting": 2, "dred": 2},
             "violations": violations,
-        },
+        }},
     )
 
 
@@ -338,12 +345,14 @@ def test_manifest_maintain_summary_green():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, check_maintenance=True,
+        code_fingerprint="fp", cache_used=False,
+        mode=RunMode(checks=("maintain",)),
     )
-    assert manifest["check_maintenance"] is True
-    assert manifest["summary"]["maintain_checked"] == 2
-    assert manifest["summary"]["maintain_ok"] == 2
-    assert manifest["maintain_violations"] == []
+    assert manifest["checks"] == ["maintain"]
+    assert manifest["summary"]["audits"] == {
+        "maintain": {"checked": 2, "ok": 2}
+    }
+    assert manifest["violations"] == []
     assert manifest_exit_code(manifest) == 0
     rendered = render_manifest(manifest)
     assert "maintenance: 2/2" in rendered
@@ -360,11 +369,12 @@ def test_manifest_maintain_delta_violation_gates_the_exit_code():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, check_maintenance=True,
+        code_fingerprint="fp", cache_used=False,
+        mode=RunMode(checks=("maintain",)),
     )
-    assert manifest["summary"]["maintain_ok"] == 0
-    assert manifest["maintain_violations"] == [
-        {"job": "a", "violations": [violation]}
+    assert manifest["summary"]["audits"]["maintain"]["ok"] == 0
+    assert manifest["violations"] == [
+        {"audit": "maintain", "job": "a", **violation}
     ]
     assert manifest_exit_code(manifest) == 1
     rendered = render_manifest(manifest)
@@ -381,7 +391,8 @@ def test_manifest_maintain_strategy_violation_renders():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, check_maintenance=True,
+        code_fingerprint="fp", cache_used=False,
+        mode=RunMode(checks=("maintain",)),
     )
     assert manifest_exit_code(manifest) == 1
     rendered = render_manifest(manifest)
@@ -392,23 +403,23 @@ def test_manifest_without_check_maintenance_has_no_maintain_summary():
     jobs = [_job("a")]
     results = {"a": JobResult("a", JobStatus.OK, "fine", verdict="fine")}
     manifest = _build(jobs, results)
-    assert "maintain_checked" not in manifest["summary"]
+    assert "maintain" not in manifest["summary"]["audits"]
     assert manifest_exit_code(manifest) == 0
 
 
 def test_maintain_block_round_trips_through_job_result():
     result = _maintain_result("a", [])
     clone = JobResult.from_dict(result.as_dict())
-    assert clone.maintain == result.maintain
+    assert clone.audits["maintain"] == result.audits["maintain"]
 
 
 def _shard_result(name, violations):
     return JobResult(
         name, JobStatus.OK, "fine", verdict="fine",
-        shard={
+        audits={"shard": {
             "checks": 3, "strata": 2, "facts": 400,
             "violations": violations,
-        },
+        }},
     )
 
 
@@ -422,13 +433,14 @@ def test_manifest_shard_summary_green():
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
         code_fingerprint="fp", cache_used=False,
-        shards=4, check_sharding=True,
+        mode=RunMode(shards=4, checks=("shard",)),
     )
     assert manifest["shards"] == 4
-    assert manifest["check_sharding"] is True
-    assert manifest["summary"]["shard_checked"] == 2
-    assert manifest["summary"]["shard_ok"] == 2
-    assert manifest["shard_violations"] == []
+    assert manifest["checks"] == ["shard"]
+    assert manifest["summary"]["audits"] == {
+        "shard": {"checked": 2, "ok": 2}
+    }
+    assert manifest["violations"] == []
     assert manifest_exit_code(manifest) == 0
     text = render_manifest(manifest)
     assert "shard ok (2 strata)" in text
@@ -446,11 +458,11 @@ def test_manifest_shard_violation_gates_the_exit_code():
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
         code_fingerprint="fp", cache_used=False,
-        shards=2, check_sharding=True,
+        mode=RunMode(shards=2, checks=("shard",)),
     )
-    assert manifest["summary"]["shard_ok"] == 0
-    assert manifest["shard_violations"] == [
-        {"job": "a", "violations": [violation]}
+    assert manifest["summary"]["audits"]["shard"]["ok"] == 0
+    assert manifest["violations"] == [
+        {"audit": "shard", "job": "a", **violation}
     ]
     assert manifest_exit_code(manifest) == 1
     text = render_manifest(manifest)
@@ -464,15 +476,15 @@ def test_manifest_without_check_sharding_has_no_shard_summary():
     results = {"a": JobResult("a", JobStatus.OK, "fine", verdict="fine")}
     manifest = _build(jobs, results)
     assert manifest["shards"] == 0
-    assert manifest["check_sharding"] is False
-    assert "shard_checked" not in manifest["summary"]
+    assert manifest["checks"] == []
+    assert "shard" not in manifest["summary"]["audits"]
     assert manifest_exit_code(manifest) == 0
 
 
 def test_shard_block_round_trips_through_job_result():
     result = _shard_result("a", [])
     clone = JobResult.from_dict(result.as_dict())
-    assert clone.shard == result.shard
+    assert clone.audits["shard"] == result.audits["shard"]
 
 
 def test_manifest_baseline_delta_covers_shard_counters():

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.runmode import RunMode
 from repro.harness.cache import ResultCache
 from repro.harness.job import Job, JobStatus
 from repro.harness.runner import RunnerConfig, run_jobs
@@ -19,11 +20,11 @@ def _job(name: str, fn: str, **kwargs) -> Job:
     return Job(name=name, fn=f"{SAMPLES}:{fn}", **kwargs)
 
 
-def _config(**kwargs) -> RunnerConfig:
-    kwargs.setdefault("workers", 2)
-    kwargs.setdefault("default_timeout", 20.0)
-    kwargs.setdefault("retry_backoff", 0.01)
-    return RunnerConfig(**kwargs)
+def _config(**mode) -> RunnerConfig:
+    return RunnerConfig(
+        workers=2, default_timeout=20.0, retry_backoff=0.01,
+        mode=RunMode(**mode),
+    )
 
 
 def test_ok_job_matches_expected():
@@ -187,25 +188,25 @@ def test_worker_honors_backend_config():
 
 def test_check_cost_ships_the_guard_summary_back():
     job = _job("fx", "datalog_fixpoint_job", expected="computed")
-    results = run_jobs([job], config=_config(check_cost=True))
+    results = run_jobs([job], config=_config(checks=("cost",)))
     result = results["fx"]
     assert result.status is JobStatus.OK
-    assert result.cost is not None
-    assert result.cost["checks"] >= 1
-    assert result.cost["predicates"] >= 1
-    assert result.cost["violations"] == []
+    cost = result.audits["cost"]
+    assert cost["checks"] >= 1
+    assert cost["predicates"] >= 1
+    assert cost["violations"] == []
 
 
 def test_cost_payload_absent_without_check_cost():
     job = _job("fx", "datalog_fixpoint_job", expected="computed")
     results = run_jobs([job], config=_config())
-    assert results["fx"].cost is None
+    assert results["fx"].audits == {}
 
 
 def test_auto_backend_resolutions_travel_in_the_result():
     job = _job("fx", "datalog_fixpoint_job", expected="computed")
     results = run_jobs([job], config=_config(backend="auto"))
-    resolutions = results["fx"].backend_resolution
+    resolutions = results["fx"].audits["backend"]["resolutions"]
     assert resolutions  # at least the one fixpoint the job runs
     for entry in resolutions:
         assert entry["backend"] in ("interpreted", "columnar")
@@ -216,15 +217,15 @@ def test_auto_backend_resolutions_travel_in_the_result():
 def test_backend_resolution_absent_off_auto():
     job = _job("fx", "datalog_fixpoint_job", expected="computed")
     results = run_jobs([job], config=_config(backend="columnar"))
-    assert results["fx"].backend_resolution is None
+    assert "backend" not in results["fx"].audits
 
 
 def test_check_cost_composes_with_the_auto_backend():
     job = _job("fx", "datalog_fixpoint_job", expected="computed")
     results = run_jobs(
-        [job], config=_config(check_cost=True, backend="auto")
+        [job], config=_config(checks=("cost",), backend="auto")
     )
     result = results["fx"]
     assert result.status is JobStatus.OK
-    assert result.cost["violations"] == []
-    assert result.backend_resolution
+    assert result.audits["cost"]["violations"] == []
+    assert result.audits["backend"]["resolutions"]

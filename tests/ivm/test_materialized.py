@@ -164,3 +164,17 @@ def test_optimized_view_still_certifies_source_program():
     result = check_certificate(cert)
     assert result.valid, result.failures
     assert cert["meta"]["rounds"] == 1
+
+
+def test_insert_propagation_survives_derivations_into_the_scanned_relation():
+    """Regression: a recursive rule whose derivations land in the very
+    relation its join is still scanning (``Q`` here) used to raise
+    "Set changed size during iteration" mid-round."""
+    program = parse_program(
+        "Q(y) <- Q(x), R(z,y), U(y). Q(x) <- R(x,x)."
+    )
+    base = parse_instance("U(0). U(1). R(0,0).")
+    view = MaterializedView(program, base, backend="interpreted")
+    view.insert([Fact("R", (0, 1))])
+    assert view.state == view.recompute()
+    assert view.state.has_tuple("Q", (1,))

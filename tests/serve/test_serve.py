@@ -322,6 +322,27 @@ def test_rejects_unknown_backend():
         ServeService(backend="warp-drive")
 
 
+def test_create_reports_the_engine_the_view_runs():
+    """A create naming no backend reports the engine the view actually
+    runs (the run mode's), never the placeholder ``auto``."""
+    async def drive():
+        service = ServeService()
+        plain = await service.handle(_create("plain"))
+        assert plain["backend"] == "interpreted"
+        assert service.sessions["plain"].view.backend == "interpreted"
+        columnar = await service.handle(_create("col", backend="columnar"))
+        assert columnar["backend"] == "columnar"
+        defaulted = await ServeService(backend="columnar").handle(_create())
+        assert defaulted["backend"] == "columnar"
+        inserted = await service.handle({
+            "op": "insert", "session": "plain",
+            "facts": [["E", ["b", "c"]]],
+        })
+        assert inserted["round"]["backend"] == plain["backend"]
+
+    run(drive())
+
+
 # ---------------------------------------------------------------------------
 # analysis-driven admission (--max-delta)
 # ---------------------------------------------------------------------------
