@@ -141,14 +141,10 @@ class AnalysisReport:
                 for scc in self.dependency.sccs
             ],
         }
-        if self.semantics is not None:
-            out["semantics"] = self.semantics.as_dict()
-        if self.cost is not None:
-            out["cost"] = self.cost.as_dict()
-        if self.maintain is not None:
-            out["maintain"] = self.maintain.as_dict()
-        if self.shard is not None:
-            out["shard"] = self.shard.as_dict()
+        for name in ("semantics", "cost", "maintain", "shard"):
+            block = getattr(self, name)
+            if block is not None:
+                out[name] = block.as_dict()
         return out
 
 
@@ -188,28 +184,25 @@ class ProgramAnalyzer:
             fragment=fragment,
         )
         if semantic:
-            ctx.semantics = semantic_report(
-                program,
-                goal=goal,
-                dependency=dependency,
-                fragment=fragment,
-                span_of=ctx.rule_span,
-            )
             from repro.analysis.cost import cost_report
             from repro.analysis.maintain import maintain_report
             from repro.analysis.shard import shard_report
+            from repro.analysis.strata import ProgramWalk
             from repro.core import stats as _stats
 
+            # one walk: boundedness runs once for all four reports
+            walk = ProgramWalk(program, goal, dependency)
+            ctx.semantics = semantic_report(
+                program,
+                goal=goal,
+                walk=walk,
+                fragment=fragment,
+                span_of=ctx.rule_span,
+            )
             with _stats.suspended():
-                ctx.cost = cost_report(
-                    program, goal=goal, dependency=dependency
-                )
-                ctx.maintain = maintain_report(
-                    program, goal=goal, dependency=dependency
-                )
-                ctx.shard = shard_report(
-                    program, goal=goal, dependency=dependency
-                )
+                ctx.cost = cost_report(program, goal=goal, walk=walk)
+                ctx.maintain = maintain_report(program, goal=goal, walk=walk)
+                ctx.shard = shard_report(program, goal=goal, walk=walk)
         found: list[Diagnostic] = []
         passes = self._passes + (
             list(SEMANTIC_PASSES) if semantic else []

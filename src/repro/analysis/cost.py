@@ -27,7 +27,8 @@ re-checks empirically on every fixpoint):
   preserves the fixpoint, so bounds computed on the peeled program are
   sound for the original.
 
-All arithmetic saturates at :data:`BOUND_CAP` (saturating *up* keeps
+All arithmetic saturates at :data:`~repro.analysis.strata.BOUND_CAP`
+(saturating *up* keeps
 every bound sound).  The per-rule join costs are sound bounds on the
 number of intermediate tuples a left-to-right join in the estimated
 order can produce; they drive the optimizer's join reordering, the
@@ -45,120 +46,26 @@ from repro.core.datalog import DatalogProgram, Rule
 from repro.core.runmode import Guard, register_guard
 from repro.core.terms import Variable
 
-from repro.analysis.dependency import DependencyGraph
+from repro.analysis.strata import (
+    ANALYSIS_RULE_LIMIT,
+    CostParameters,
+    ProgramWalk,
+    Record,
+    as_json,
+    fmt_bound,
+    sat_add,
+    sat_mul,
+    sat_pow,
+    sat_sum,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.instance import Instance
     from repro.core.stats import EngineStats
 
-#: saturation ceiling for all bound arithmetic; larger-than-real is
-#: always sound, so products/powers clamp here instead of overflowing
-BOUND_CAP = 10**15
-
-#: assumed per-relation EDB size when no instance is supplied
-DEFAULT_EDB_SIZE = 16
-
-#: cost analysis is skipped above this (mirrors OPTIMIZE_RULE_LIMIT:
-#: generated mega-programs pay more for the analysis than the run)
-COST_RULE_LIMIT = 200
-
-
-def _sat_mul(a: int, b: int) -> int:
-    out = a * b
-    return out if out < BOUND_CAP else BOUND_CAP
-
-
-def _sat_add(a: int, b: int) -> int:
-    out = a + b
-    return out if out < BOUND_CAP else BOUND_CAP
-
-
-def _sat_pow(base: int, exp: int) -> int:
-    out = 1
-    for _ in range(exp):
-        out = _sat_mul(out, base)
-    return out
-
-
-def _distinct_vars(atom: Atom) -> int:
-    return len({t for t in atom.args if isinstance(t, Variable)})
-
-
-def _program_constants(program: DatalogProgram) -> set[object]:
-    out: set[object] = set()
-    for rule in program.rules:
-        for atom in (rule.head, *rule.body):
-            out |= atom.constants()
-    return out
-
 
 @dataclass(frozen=True)
-class CostParameters:
-    """The inputs the abstract interpretation runs against.
-
-    ``measured`` parameters come from a concrete instance (exact EDB
-    sizes, exact active-domain width); ``assumed`` parameters model
-    every EDB relation at :data:`DEFAULT_EDB_SIZE` rows for purely
-    static analysis (lint, scheduling) where no instance exists.
-    """
-
-    edb_sizes: Mapping[str, int]
-    idb_seeds: Mapping[str, int]
-    adom: int
-    default_edb_size: int
-    assumed: bool
-
-    @staticmethod
-    def from_instance(
-        program: DatalogProgram, instance: "Instance"
-    ) -> "CostParameters":
-        """Exact parameters for one concrete instance."""
-        idb = program.idb_predicates()
-        edb_sizes: dict[str, int] = {}
-        idb_seeds: dict[str, int] = {}
-        for pred in instance.predicates():
-            if pred in idb:
-                idb_seeds[pred] = instance.size(pred)
-            else:
-                edb_sizes[pred] = instance.size(pred)
-        adom = len(
-            set(instance.active_domain()) | _program_constants(program)
-        )
-        return CostParameters(
-            edb_sizes=edb_sizes,
-            idb_seeds=idb_seeds,
-            adom=max(1, adom),
-            default_edb_size=0,
-            assumed=False,
-        )
-
-    @staticmethod
-    def assumed_for(
-        program: DatalogProgram, edb_size: int = DEFAULT_EDB_SIZE
-    ) -> "CostParameters":
-        """Instance-free parameters: every EDB at ``edb_size`` rows.
-
-        The derived active-domain width is itself a sound consequence
-        of the assumption: ``edb_size`` facts of arity ``k`` introduce
-        at most ``edb_size * k`` values, plus the program's constants.
-        """
-        adom = len(_program_constants(program))
-        sizes: dict[str, int] = {}
-        for pred in sorted(program.edb_predicates()):
-            arity = program.arity_of(pred)
-            sizes[pred] = edb_size
-            adom = _sat_add(adom, _sat_mul(edb_size, arity))
-        return CostParameters(
-            edb_sizes=sizes,
-            idb_seeds={},
-            adom=max(1, adom),
-            default_edb_size=edb_size,
-            assumed=True,
-        )
-
-
-@dataclass(frozen=True)
-class PredicateBound:
+class PredicateBound(Record):
     """A sound worst-case cardinality bound for one predicate."""
 
     pred: str
@@ -168,19 +75,9 @@ class PredicateBound:
     basis: str
     rule_indices: tuple[int, ...] = ()
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "pred": self.pred,
-            "arity": self.arity,
-            "bound": self.bound,
-            "recursive": self.recursive,
-            "basis": self.basis,
-            "rule_indices": list(self.rule_indices),
-        }
-
 
 @dataclass(frozen=True)
-class AtomCost:
+class AtomCost(Record):
     """One body atom's contribution in the estimated join order."""
 
     atom: str
@@ -191,20 +88,9 @@ class AtomCost:
     cartesian: bool
     running: int
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "atom": self.atom,
-            "pred": self.pred,
-            "bound": self.bound,
-            "distinct_vars": self.distinct_vars,
-            "bindable": self.bindable,
-            "cartesian": self.cartesian,
-            "running": self.running,
-        }
-
 
 @dataclass(frozen=True)
-class RuleCost:
+class RuleCost(Record):
     """Join cost bound for one rule, with per-atom provenance."""
 
     rule_index: int
@@ -214,19 +100,6 @@ class RuleCost:
     join_cost: int
     dominant: Optional[AtomCost]
     cartesian: bool
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "rule_index": self.rule_index,
-            "head": self.head,
-            "atoms": [a.as_dict() for a in self.atoms],
-            "output_bound": self.output_bound,
-            "join_cost": self.join_cost,
-            "dominant": (
-                self.dominant.as_dict() if self.dominant else None
-            ),
-            "cartesian": self.cartesian,
-        }
 
 
 @dataclass(frozen=True)
@@ -248,10 +121,8 @@ class CostReport:
         return {
             "adom": self.parameters.adom,
             "assumed": self.parameters.assumed,
-            "bounds": {
-                pred: pb.as_dict() for pred, pb in self.bounds.items()
-            },
-            "rules": [rc.as_dict() for rc in self.rules],
+            "bounds": as_json(self.bounds),
+            "rules": as_json(self.rules),
             "total_bound": self.total_bound,
             "total_join_cost": self.total_join_cost,
             "peeled_rules": list(self.peeled_rules),
@@ -262,8 +133,9 @@ class CostReport:
         mode = "assumed" if self.parameters.assumed else "measured"
         lines = [
             f"cost analysis ({mode} parameters, adom {self.parameters.adom})",
-            f"  total predicted facts <= {self.total_bound}",
-            f"  total predicted join cost <= {self.total_join_cost}",
+            f"  total predicted facts <= {fmt_bound(self.total_bound)}",
+            "  total predicted join cost <= "
+            f"{fmt_bound(self.total_join_cost)}",
         ]
         if self.peeled_rules:
             dropped = ", ".join(str(i) for i in self.peeled_rules)
@@ -273,12 +145,14 @@ class CostReport:
             pb = self.bounds[pred]
             kind = "recursive" if pb.recursive else "nonrecursive"
             lines.append(
-                f"    {pred}/{pb.arity} <= {pb.bound}  [{kind}; {pb.basis}]"
+                f"    {pred}/{pb.arity} <= {fmt_bound(pb.bound)}  "
+                f"[{kind}; {pb.basis}]"
             )
         for rc in self.rules:
             lines.append(
                 f"  rule {rc.rule_index} ({rc.head}): output <= "
-                f"{rc.output_bound}, join cost <= {rc.join_cost}"
+                f"{fmt_bound(rc.output_bound)}, join cost <= "
+                f"{fmt_bound(rc.join_cost)}"
                 + (" [cartesian]" if rc.cartesian else "")
             )
             for ac in rc.atoms:
@@ -289,8 +163,8 @@ class CostReport:
                     marks.append("cartesian")
                 note = f"  [{', '.join(marks)}]" if marks else ""
                 lines.append(
-                    f"      {ac.atom}: <= {ac.bound} rows, running "
-                    f"{ac.running}{note}"
+                    f"      {ac.atom}: <= {fmt_bound(ac.bound)} rows, "
+                    f"running {fmt_bound(ac.running)}{note}"
                 )
         return "\n".join(lines)
 
@@ -309,10 +183,8 @@ def atom_match_bound(
     match set at ``adom**free`` independently of the relation size.
     """
     size = sizes.get(atom.pred, default_size)
-    free = len(
-        {t for t in atom.args if isinstance(t, Variable)} - set(bound_vars)
-    )
-    return min(max(size, 0), _sat_pow(adom, free))
+    free = len(atom.variables() - set(bound_vars))
+    return min(max(size, 0), sat_pow(adom, free))
 
 
 def _rule_output_bound(
@@ -320,39 +192,18 @@ def _rule_output_bound(
 ) -> int:
     homs = 1
     for atom in rule.body:
-        homs = _sat_mul(
+        homs = sat_mul(
             homs,
             atom_match_bound(
                 atom, frozenset(), sizes, params.adom,
                 params.default_edb_size,
             ),
         )
-    head_vars = _distinct_vars(rule.head)
-    return min(homs, _sat_pow(params.adom, head_vars))
+    return min(homs, _head_shape_bound(rule, params))
 
 
 def _head_shape_bound(rule: Rule, params: CostParameters) -> int:
-    return _sat_pow(params.adom, _distinct_vars(rule.head))
-
-
-def _peel_vacuous(
-    program: DatalogProgram,
-    goal: Optional[str],
-    dependency: Optional[DependencyGraph],
-) -> tuple[DatalogProgram, tuple[int, ...], tuple[int, ...]]:
-    """Drop the subsumed recursive rules boundedness peeling proves
-    vacuous; returns (peeled program, kept original indices, dropped)."""
-    from repro.analysis.semantics import boundedness_report
-
-    report = boundedness_report(program, goal, dependency=dependency)
-    dropped = sorted({pair[0] for pair in report.vacuous_rules})
-    if not dropped:
-        return program, tuple(range(len(program.rules))), ()
-    kept = tuple(
-        i for i in range(len(program.rules)) if i not in set(dropped)
-    )
-    peeled = DatalogProgram(program.rules[i] for i in kept)
-    return peeled, kept, tuple(dropped)
+    return sat_pow(params.adom, len(rule.head.variables()))
 
 
 def _rule_cost(
@@ -394,8 +245,8 @@ def _rule_cost(
         bound = atom_match_bound(
             best, bound_vars, sizes, params.adom, params.default_edb_size
         )
-        running = _sat_mul(running, bound)
-        join_cost = _sat_add(join_cost, running)
+        running = sat_mul(running, bound)
+        join_cost = sat_add(join_cost, running)
         bindable = len(rule.body) == 1 or any(
             var_count[v] > 1 for v in best.variables()
         )
@@ -406,7 +257,7 @@ def _rule_cost(
                 atom=repr(best),
                 pred=best.pred,
                 bound=bound,
-                distinct_vars=_distinct_vars(best),
+                distinct_vars=len(best.variables()),
                 bindable=bindable,
                 cartesian=step_cartesian,
                 running=running,
@@ -434,7 +285,7 @@ def cost_report(
     goal: Optional[str] = None,
     instance: Optional["Instance"] = None,
     parameters: Optional[CostParameters] = None,
-    dependency: Optional[DependencyGraph] = None,
+    walk: Optional[ProgramWalk] = None,
     peel: bool = True,
 ) -> CostReport:
     """Run the abstract interpretation and return every bound.
@@ -443,46 +294,31 @@ def cost_report(
     their instance seeds alone (goal-directed evaluation prunes their
     rules).  With an ``instance`` (or explicit ``parameters``) the
     bounds are exact-parameter; otherwise every EDB is assumed to hold
-    :data:`DEFAULT_EDB_SIZE` rows.
+    :data:`~repro.analysis.strata.DEFAULT_EDB_SIZE` rows.  ``walk``
+    shares the instance-free facts of ``(program, goal)`` across reports.
     """
-    if parameters is not None:
-        params = parameters
-    elif instance is not None:
-        params = CostParameters.from_instance(program, instance)
-    else:
-        params = CostParameters.assumed_for(program)
+    params = CostParameters.resolve(program, instance, parameters)
+    if walk is None:
+        walk = ProgramWalk(program, goal)
 
+    work, kept, dep = program, tuple(range(len(program.rules))), walk.dependency
     peeled_rules: tuple[int, ...] = ()
-    kept = tuple(range(len(program.rules)))
-    work = program
-    if peel and program.rules and len(program.rules) <= COST_RULE_LIMIT:
-        work, kept, peeled_rules = _peel_vacuous(program, goal, dependency)
-    dep = (
-        dependency
-        if dependency is not None and not peeled_rules
-        else DependencyGraph(work)
-    )
+    if peel:
+        work, kept, dep = walk.peeled
+        peeled_rules = tuple(sorted(walk.vacuous))
 
     unreachable: frozenset[str] = frozenset()
     if goal is not None and goal in dep.graph:
-        unreachable = frozenset(
-            dep.idb - dep.reachable_from(goal)
-        )
+        unreachable = frozenset(dep.idb - dep.reachable_from(goal))
 
     sizes: dict[str, int] = dict(params.edb_sizes)
     bounds: dict[str, PredicateBound] = {}
 
-    def _arity(pred: str) -> int:
-        try:
-            return work.arity_of(pred)
-        except KeyError:  # pragma: no cover - IDB preds always occur
-            return 0
-
     for scc in dep.sccs:
         for pred in sorted(scc.predicates):
-            arity = _arity(pred)
+            arity = work.arity_of(pred)
             seed = params.idb_seeds.get(pred, 0)
-            cap = _sat_pow(params.adom, arity)
+            cap = sat_pow(params.adom, arity)
             if pred in unreachable:
                 bounds[pred] = PredicateBound(
                     pred, arity, min(seed, cap), scc.recursive,
@@ -499,7 +335,7 @@ def cost_report(
             if not scc.recursive:
                 total = seed
                 for _, rule in pred_rules:
-                    total = _sat_add(
+                    total = sat_add(
                         total, _rule_output_bound(rule, sizes, params)
                     )
                 bound = min(total, cap)
@@ -510,9 +346,11 @@ def cost_report(
             else:
                 shape = seed
                 for _, rule in pred_rules:
-                    shape = _sat_add(shape, _head_shape_bound(rule, params))
+                    shape = sat_add(shape, _head_shape_bound(rule, params))
                 bound = min(shape, cap)
-                basis = f"head shapes capped at adom^{arity} = {cap}"
+                basis = (
+                    f"head shapes capped at adom^{arity} = {fmt_bound(cap)}"
+                )
             bounds[pred] = PredicateBound(
                 pred, arity, bound, scc.recursive, basis,
                 tuple(index for index, _ in pred_rules),
@@ -523,18 +361,12 @@ def cost_report(
         _rule_cost(kept[j], rule, sizes, params)
         for j, rule in enumerate(work.rules)
     )
-    total_bound = 0
-    for pb in bounds.values():
-        total_bound = _sat_add(total_bound, pb.bound)
-    total_join = 0
-    for rc in rules:
-        total_join = _sat_add(total_join, rc.join_cost)
     return CostReport(
         parameters=params,
         bounds=bounds,
         rules=rules,
-        total_bound=total_bound,
-        total_join_cost=total_join,
+        total_bound=sat_sum(pb.bound for pb in bounds.values()),
+        total_join_cost=sat_sum(rc.join_cost for rc in rules),
         peeled_rules=peeled_rules,
         unreachable=unreachable,
     )
@@ -560,7 +392,7 @@ def predicted_join_volume(
     Not a certified bound — recursion reuses rule bodies across rounds
     — but monotone in problem size, which is all a backend pick needs.
     """
-    if not program.rules or len(program.rules) > COST_RULE_LIMIT:
+    if not program.rules or len(program.rules) > ANALYSIS_RULE_LIMIT:
         return 0
     report = cost_report(program, instance=instance, peel=False)
     return report.total_join_cost
@@ -593,9 +425,8 @@ class CostGuard(Guard):
     claim = "within the static cardinality bounds"
     count = ("predicates", "bounds")
 
-    def __init__(self, limit: int = COST_RULE_LIMIT) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.limit = limit
         self.predicates = 0
 
     def on_fixpoint(
@@ -607,7 +438,7 @@ class CostGuard(Guard):
     ) -> None:
         from repro.core import stats as _stats
 
-        if not program.rules or len(program.rules) > self.limit:
+        if not program.rules or len(program.rules) > ANALYSIS_RULE_LIMIT:
             return
         with _stats.suspended():
             report = cost_report(program, instance=instance)

@@ -41,7 +41,7 @@ facts against the analyzed parameters:
   bound — loose but sound, which is what admission control and the
   runtime :class:`MaintenanceGuard` need.
 
-All arithmetic saturates at :data:`~repro.analysis.cost.BOUND_CAP`;
+All arithmetic saturates at :data:`~repro.analysis.strata.BOUND_CAP`;
 saturating *up* keeps every bound sound.  ``evidence run
 --check-maintenance`` re-checks the bounds and the strategy claims
 against every measured :class:`~repro.ivm.materialized.MaintenanceRound`.
@@ -49,34 +49,31 @@ against every measured :class:`~repro.ivm.materialized.MaintenanceRound`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.core.datalog import DatalogProgram
 from repro.core.runmode import Guard, register_guard
-from repro.core.terms import Variable
 
-from repro.analysis.cost import (
-    BOUND_CAP,
-    COST_RULE_LIMIT,
-    CostParameters,
-    CostReport,
-    _sat_add,
-    _sat_mul,
-    _sat_pow,
-    atom_match_bound,
-    cost_report,
-)
+from repro.analysis.cost import atom_match_bound, cost_report
 from repro.analysis.dependency import DependencyGraph
+from repro.analysis.strata import (
+    ANALYSIS_RULE_LIMIT,
+    CostParameters,
+    ProgramWalk,
+    Record,
+    StratumReport,
+    as_json,
+    fmt_bound,
+    sat_add,
+    sat_mul,
+    sat_pow,
+    sat_sum,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.instance import Instance
     from repro.ivm.materialized import MaintenanceRound, MaterializedView
-
-#: maintainability analysis is skipped above this rule count (mirrors
-#: COST_RULE_LIMIT: generated mega-programs pay more for the analysis
-#: than any maintenance round could save)
-MAINTAIN_RULE_LIMIT = COST_RULE_LIMIT
 
 #: default update size the static report is rendered at (one changed
 #: base fact); callers re-derive bounds for larger batches
@@ -87,7 +84,7 @@ _DRED = "dred"
 
 
 @dataclass(frozen=True)
-class DeltaBound:
+class DeltaBound(Record):
     """A sound bound on |plus| + |minus| for one predicate per round.
 
     ``bound`` is the per-round delta bound at the report's update
@@ -106,20 +103,9 @@ class DeltaBound:
     basis: str
     per_rule: tuple[tuple[int, int], ...] = ()
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "pred": self.pred,
-            "arity": self.arity,
-            "bound": self.bound,
-            "relation_bound": self.relation_bound,
-            "recursive": self.recursive,
-            "basis": self.basis,
-            "per_rule": [list(pair) for pair in self.per_rule],
-        }
-
 
 @dataclass(frozen=True)
-class StratumPlan:
+class StratumPlan(Record):
     """The maintenance classification of one SCC."""
 
     index: int
@@ -136,52 +122,24 @@ class StratumPlan:
     effective_rule_indices: tuple[int, ...]
     delta_bound: int
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "index": self.index,
-            "predicates": list(self.predicates),
-            "recursive": self.recursive,
-            "strategy": self.strategy,
-            "counting_safe": self.counting_safe,
-            "insert_monotone": self.insert_monotone,
-            "self_maintainable": self.self_maintainable,
-            "basis": self.basis,
-            "rule_indices": list(self.rule_indices),
-            "effective_rule_indices": list(self.effective_rule_indices),
-            "delta_bound": self.delta_bound,
-        }
-
 
 @dataclass(frozen=True)
-class MaintainReport:
+class MaintainReport(StratumReport[StratumPlan]):
     """Everything the maintainability analysis derived."""
 
-    parameters: CostParameters
     update_size: int
-    strata: tuple[StratumPlan, ...]
     bounds: Mapping[str, DeltaBound]
     retraction_sources: frozenset[str]
     counting_strata: int
     dred_strata: int
     total_delta_bound: int
-    cost: Optional[CostReport] = field(default=None, compare=False)
-
-    def plan_of(self, pred: str) -> Optional[StratumPlan]:
-        for stratum in self.strata:
-            if pred in stratum.predicates:
-                return stratum
-        return None
 
     def bound_of(self, pred: str) -> Optional[DeltaBound]:
         return self.bounds.get(pred)
 
     def strategies(self) -> dict[str, str]:
         """``pred -> "counting" | "dred"`` over every IDB predicate."""
-        out: dict[str, str] = {}
-        for stratum in self.strata:
-            for pred in stratum.predicates:
-                out[pred] = stratum.strategy
-        return out
+        return self.per_predicate("strategy")
 
     def classification(self) -> dict[str, object]:
         """The instance-independent claims a certificate can carry.
@@ -192,20 +150,12 @@ class MaintainReport:
         checker can re-derive this dict from the program alone.
         """
         strategies = self.strategies()
+        monotone = self.per_predicate("insert_monotone")
+        safe = self.per_predicate("counting_safe")
         return {
             "strategies": {p: strategies[p] for p in sorted(strategies)},
-            "insert_monotone": sorted(
-                pred
-                for stratum in self.strata
-                if stratum.insert_monotone
-                for pred in stratum.predicates
-            ),
-            "counting_safe": sorted(
-                pred
-                for stratum in self.strata
-                if stratum.counting_safe
-                for pred in stratum.predicates
-            ),
+            "insert_monotone": sorted(p for p, yes in monotone.items() if yes),
+            "counting_safe": sorted(p for p, yes in safe.items() if yes),
         }
 
     def as_dict(self) -> dict[str, object]:
@@ -217,11 +167,8 @@ class MaintainReport:
                 "assumed": self.parameters.assumed,
             },
             "update_size": self.update_size,
-            "strata": [stratum.as_dict() for stratum in self.strata],
-            "bounds": {
-                pred: self.bounds[pred].as_dict()
-                for pred in sorted(self.bounds)
-            },
+            "strata": as_json(self.strata),
+            "bounds": as_json(dict(sorted(self.bounds.items()))),
             "retraction_sources": sorted(self.retraction_sources),
             "counting_strata": self.counting_strata,
             "dred_strata": self.dred_strata,
@@ -236,7 +183,7 @@ class MaintainReport:
             f"  update size: {self.update_size} base fact(s)/round",
             f"  strata: {self.counting_strata} counting, "
             f"{self.dred_strata} DRed",
-            f"  total delta bound: {_fmt(self.total_delta_bound)}",
+            f"  total delta bound: {fmt_bound(self.total_delta_bound)}",
             "",
         ]
         for stratum in self.strata:
@@ -255,13 +202,9 @@ class MaintainReport:
                 db = self.bounds.get(pred)
                 if db is not None:
                     lines.append(
-                        f"    |Δ{pred}| <= {_fmt(db.bound)}  ({db.basis})"
+                        f"    |Δ{pred}| <= {fmt_bound(db.bound)}  ({db.basis})"
                     )
         return "\n".join(lines)
-
-
-def _fmt(bound: int) -> str:
-    return "saturated" if bound >= BOUND_CAP else str(bound)
 
 
 def _inflated(params: CostParameters, program: DatalogProgram,
@@ -271,38 +214,26 @@ def _inflated(params: CostParameters, program: DatalogProgram,
     facts and the active domain at most ``u * max_arity`` values."""
     if update_size <= 0:
         return params
-    max_arity = 1
-    for rule in program.rules:
-        for atom in (rule.head, *rule.body):
-            max_arity = max(max_arity, len(atom.args))
+    max_arity = max([1, *(
+        len(atom.args) for rule in program.rules for atom in (rule.head, *rule.body)
+    )])
     return CostParameters(
         edb_sizes={
-            pred: _sat_add(size, update_size)
+            pred: sat_add(size, update_size)
             for pred, size in params.edb_sizes.items()
         },
         idb_seeds={
-            pred: _sat_add(size, update_size)
+            pred: sat_add(size, update_size)
             for pred, size in params.idb_seeds.items()
         },
-        adom=_sat_add(params.adom, _sat_mul(update_size, max_arity)),
-        default_edb_size=_sat_add(params.default_edb_size, update_size),
+        adom=sat_add(params.adom, sat_mul(update_size, max_arity)),
+        default_edb_size=sat_add(params.default_edb_size, update_size),
         assumed=params.assumed,
     )
 
 
-def _vacuous_dropped(program: DatalogProgram, goal: Optional[str],
-                     dependency: Optional[DependencyGraph]) -> frozenset[int]:
-    """Original indices of rules boundedness peeling proves vacuous."""
-    from repro.analysis.semantics import boundedness_report
-
-    report = boundedness_report(program, goal, dependency=dependency)
-    return frozenset(pair[0] for pair in report.vacuous_rules)
-
-
 def _retraction_reach(
-    program: DatalogProgram,
-    dependency: DependencyGraph,
-    retractable: frozenset[str],
+    dependency: DependencyGraph, retractable: frozenset[str]
 ) -> dict[str, bool]:
     """``pred -> can a retraction reach it`` for every IDB predicate.
 
@@ -312,16 +243,13 @@ def _retraction_reach(
     """
     reached: dict[str, bool] = {}
     for scc in dependency.sccs:
-        hit = any(pred in retractable for pred in scc.predicates)
-        if not hit:
-            for rule in scc.rules:
-                for atom in rule.body:
-                    if atom.pred in retractable:
-                        hit = True
-                    elif atom.pred not in scc.predicates and reached.get(
-                        atom.pred, False
-                    ):
-                        hit = True
+        # same-SCC body atoms are not in ``reached`` yet: only
+        # retractable relations and earlier strata can hit
+        hit = any(pred in retractable for pred in scc.predicates) or any(
+            atom.pred in retractable or reached.get(atom.pred, False)
+            for rule in scc.rules
+            for atom in rule.body
+        )
         for pred in scc.predicates:
             reached[pred] = hit
     return reached
@@ -332,7 +260,7 @@ def maintain_report(
     goal: Optional[str] = None,
     instance: Optional["Instance"] = None,
     parameters: Optional[CostParameters] = None,
-    dependency: Optional[DependencyGraph] = None,
+    walk: Optional[ProgramWalk] = None,
     update_size: int = DEFAULT_UPDATE_SIZE,
     append_only: frozenset[str] = frozenset(),
 ) -> MaintainReport:
@@ -341,28 +269,20 @@ def maintain_report(
     ``update_size`` is the number of base facts a round may change;
     ``append_only`` names base predicates the caller promises never to
     retract from (they stop counting as retraction sources).  Bound
-    parameters resolve exactly as in :func:`repro.analysis.cost.cost_report`.
+    parameters resolve exactly as in :func:`repro.analysis.cost.cost_report`;
+    ``walk`` shares the instance-free facts with other reports.
     """
-    if parameters is not None:
-        params = parameters
-    elif instance is not None:
-        params = CostParameters.from_instance(program, instance)
-    else:
-        params = CostParameters.assumed_for(program)
+    params = CostParameters.resolve(program, instance, parameters)
     u = max(0, update_size)
-
-    dep = dependency if dependency is not None else DependencyGraph(program)
-    within_limit = bool(program.rules) and (
-        len(program.rules) <= MAINTAIN_RULE_LIMIT
-    )
-    dropped: frozenset[int] = frozenset()
-    if within_limit:
-        dropped = _vacuous_dropped(program, goal, dep)
+    if walk is None:
+        walk = ProgramWalk(program, goal)
+    dep = walk.dependency
+    dropped = walk.vacuous
 
     inflated = _inflated(params, program, u)
     cost = (
-        cost_report(program, goal=goal, parameters=inflated, dependency=dep)
-        if within_limit
+        cost_report(program, goal=goal, parameters=inflated, walk=walk)
+        if walk.within_limit
         else None
     )
 
@@ -379,7 +299,7 @@ def maintain_report(
     retractable = (frozenset(dep.edb) - append_only) | frozenset(
         params.idb_seeds
     )
-    reached = _retraction_reach(program, dep, retractable)
+    reached = _retraction_reach(dep, retractable)
 
     sizes: dict[str, int] = {
         pred: relation_bound(pred) for pred in dep.edb
@@ -396,8 +316,6 @@ def maintain_report(
         )
 
     strata: list[StratumPlan] = []
-    counting_strata = 0
-    dred_strata = 0
     for scc in dep.sccs:
         effective = tuple(
             index for index in scc.rule_indices if index not in dropped
@@ -410,11 +328,7 @@ def maintain_report(
         if not scc.recursive:
             counting_safe = True
             basis = "non-recursive: bounded derivation multiplicity"
-        elif (
-            within_limit
-            and len(scc.predicates) == 1
-            and not effectively_recursive
-        ):
+        elif len(scc.predicates) == 1 and not effectively_recursive:
             counting_safe = True
             basis = (
                 f"recursive but provably bounded: "
@@ -431,18 +345,14 @@ def maintain_report(
             reached.get(pred, False) for pred in scc.predicates
         )
         strategy = _COUNTING if counting_safe else _DRED
-        if strategy == _COUNTING:
-            counting_strata += 1
-        else:
-            dred_strata += 1
 
         stratum_delta = 0
         for pred in sorted(scc.predicates):
             arity = program.arity_of(pred)
             rel = relation_bound(pred)
             churn_cap = min(
-                _sat_mul(2, rel),
-                _sat_mul(2, _sat_pow(inflated.adom, arity)),
+                sat_mul(2, rel),
+                sat_mul(2, sat_pow(inflated.adom, arity)),
             )
             # the view accepts direct base updates to IDB predicates
             seed = u
@@ -457,24 +367,18 @@ def maintain_report(
                     for i, delta_atom in enumerate(rule.body):
                         delta_in = deltas.get(delta_atom.pred)
                         term = delta_in.bound if delta_in is not None else u
-                        bound_vars = {
-                            t for t in delta_atom.args
-                            if isinstance(t, Variable)
-                        }
+                        bound_vars = set(delta_atom.variables())
                         for j, atom in enumerate(rule.body):
                             if j == i:
                                 continue
-                            term = _sat_mul(term, atom_match_bound(
+                            term = sat_mul(term, atom_match_bound(
                                 atom, bound_vars, sizes, inflated.adom,
                                 inflated.default_edb_size,
                             ))
-                            bound_vars |= {
-                                t for t in atom.args
-                                if isinstance(t, Variable)
-                            }
-                        contribution = _sat_add(contribution, term)
+                            bound_vars |= atom.variables()
+                        contribution = sat_add(contribution, term)
                     per_rule.append((index, contribution))
-                    total = _sat_add(total, contribution)
+                    total = sat_add(total, contribution)
                 bound = min(total, churn_cap)
                 basis_d = (
                     f"telescoped delta rules over "
@@ -493,19 +397,16 @@ def maintain_report(
                 deltas[pred] = DeltaBound(
                     pred, arity, bound, rel, scc.recursive, basis_d,
                     tuple(
-                        (index, _sat_pow(
+                        (index, sat_pow(
                             inflated.adom,
-                            len({
-                                t for t in program.rules[index].head.args
-                                if isinstance(t, Variable)
-                            }),
+                            len(program.rules[index].head.variables()),
                         ))
                         for index in scc.rule_indices
                         if program.rules[index].head.pred == pred
                     ),
                 )
             sizes[pred] = rel
-            stratum_delta = _sat_add(stratum_delta, bound)
+            stratum_delta = sat_add(stratum_delta, bound)
 
         strata.append(StratumPlan(
             index=scc.index,
@@ -521,19 +422,16 @@ def maintain_report(
             delta_bound=stratum_delta,
         ))
 
-    total = 0
-    for db in deltas.values():
-        total = _sat_add(total, db.bound)
+    strategies = [stratum.strategy for stratum in strata]
     return MaintainReport(
         parameters=params,
-        update_size=u,
         strata=tuple(strata),
+        update_size=u,
         bounds=deltas,
         retraction_sources=frozenset(retractable),
-        counting_strata=counting_strata,
-        dred_strata=dred_strata,
-        total_delta_bound=total,
-        cost=cost,
+        counting_strata=strategies.count(_COUNTING),
+        dred_strata=strategies.count(_DRED),
+        total_delta_bound=sat_sum(db.bound for db in deltas.values()),
     )
 
 
@@ -569,9 +467,8 @@ class MaintenanceGuard(Guard):
     claim = "within the static delta bounds on the planned strategy"
     count = ("checks", "rounds")
 
-    def __init__(self, limit: int = MAINTAIN_RULE_LIMIT) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.limit = limit
         self.predicates = 0
         self.strategies: dict[str, int] = {_COUNTING: 0, _DRED: 0}
 
@@ -585,12 +482,13 @@ class MaintenanceGuard(Guard):
         from repro.core import stats as _stats
 
         program = view.program
-        if not program.rules or len(program.rules) > self.limit:
+        if not program.rules or len(program.rules) > ANALYSIS_RULE_LIMIT:
             return
         audit = view.base if base_before is None else base_before | view.base
         with _stats.suspended():
             report = maintain_report(
-                program, instance=audit, update_size=update_size
+                program, instance=audit, update_size=update_size,
+                walk=view.walk,
             )
         self.checks += 1
         for pred in sorted(set(round_.plus) | set(round_.minus)):

@@ -67,15 +67,6 @@ _SPECIALIZE_LIMIT = 64
 #: witness instances shipped per equivalence claim (plus their union)
 _WITNESS_LIMIT = 16
 
-#: ambient optimization (``fixpoint(optimize=True)`` / the evaluation
-#: default) steps aside for programs above this many rules: the
-#: subsumption-based passes are quadratic in the rule count with a
-#: homomorphism search per pair, which is fine for human-written
-#: programs but pathological on machine-generated ones (the Thm 8
-#: witness program has ~2k rules).  Explicit ``optimize_program`` calls
-#: are not limited — the caller asked.
-OPTIMIZE_RULE_LIMIT = 200
-
 
 # ---------------------------------------------------------------------------
 # records and state

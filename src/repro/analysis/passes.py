@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 from repro.analysis.dependency import rule_body_components
 from repro.analysis.diagnostics import Diagnostic, make
+from repro.analysis.strata import BOUND_CAP, fmt_bound
 from repro.core.atoms import Atom
 from repro.core.cq import ConjunctiveQuery
 from repro.core.datalog import Rule
@@ -438,9 +439,9 @@ def check_cost_summary(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
     mode = "assumed" if report.parameters.assumed else "measured"
     yield make(
         "I209",
-        f"predicted <= {report.total_bound} fact(s) across "
+        f"predicted <= {fmt_bound(report.total_bound)} fact(s) across "
         f"{len(report.bounds)} IDB predicate(s), total join cost <= "
-        f"{report.total_join_cost} ({mode} parameters, adom "
+        f"{fmt_bound(report.total_join_cost)} ({mode} parameters, adom "
         f"{report.parameters.adom}); `repro analyze cost` prints the "
         "full table",
     )
@@ -461,8 +462,8 @@ def check_cost_blowup(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
             yield make(
                 "W112",
                 f"rule #{rc.rule_index} joins variable-disjoint parts: "
-                f"up to {rc.join_cost} intermediate tuple(s) for an "
-                f"output bound of {rc.output_bound}",
+                f"up to {fmt_bound(rc.join_cost)} intermediate tuple(s) "
+                f"for an output bound of {fmt_bound(rc.output_bound)}",
                 ctx.rule_span(rc.rule_index),
                 rule_index=rc.rule_index,
             )
@@ -479,7 +480,7 @@ def check_cost_recursion(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
             yield make(
                 "W113",
                 f"recursive predicate {pred}/{pb.arity} can grow to "
-                f"{pb.bound} fact(s) ({pb.basis}); goal binding or "
+                f"{fmt_bound(pb.bound)} fact(s) ({pb.basis}); goal binding or "
                 "magic sets (repro optimize) restrict the demand",
                 _cost_anchor(ctx, pb.rule_indices),
             )
@@ -505,7 +506,7 @@ def check_cost_unbindable(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
             yield make(
                 "W114",
                 f"rule #{rc.rule_index} is dominated by {dom.atom} "
-                f"(<= {dom.bound} row(s)), which shares no variable "
+                f"(<= {fmt_bound(dom.bound)} row(s)), which shares no variable "
                 "with the rest of the body and cannot be shrunk by "
                 "any join order",
                 ctx.rule_span(rc.rule_index),
@@ -561,14 +562,10 @@ def check_maintain_delta(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
     if ctx.maintain is None:
         return
     report = ctx.maintain
-    from repro.analysis.cost import BOUND_CAP
-
-    total = report.total_delta_bound
-    rendered = "saturated" if total >= BOUND_CAP else str(total)
     yield make(
         "I212",
-        f"predicted |delta| <= {rendered} fact(s) per "
-        f"{report.update_size}-fact update across "
+        f"predicted |delta| <= {fmt_bound(report.total_delta_bound)} "
+        f"fact(s) per {report.update_size}-fact update across "
         f"{len(report.bounds)} predicate(s)",
     )
 
@@ -599,8 +596,8 @@ def check_maintain_amplification(
                 "W115",
                 f"retraction amplification risk in stratum "
                 f"[{', '.join(stratum.predicates)}]: deleting one base "
-                f"fact may churn up to {max(risky.values())} fact(s) "
-                f"of {', '.join(sorted(risky))} through "
+                f"fact may churn up to {fmt_bound(max(risky.values()))} "
+                f"fact(s) of {', '.join(sorted(risky))} through "
                 "overdelete/rederive",
                 _cost_anchor(ctx, stratum.rule_indices),
             )
@@ -636,8 +633,6 @@ def check_maintain_unbounded(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
     """W117 — delta bounds that saturate: no useful growth guarantee."""
     if ctx.maintain is None:
         return
-    from repro.analysis.cost import BOUND_CAP
-
     saturated = sorted(
         pred
         for pred, bound in ctx.maintain.bounds.items()
@@ -690,16 +685,13 @@ def check_shard_exchange(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
     """I215 — the predicted per-round exchange volume."""
     if ctx.shard is None:
         return
-    from repro.analysis.cost import BOUND_CAP
-
     report = ctx.shard
     if not report.exchange_required:
         return
-    total = report.total_exchange_bound
-    rendered = "saturated" if total >= BOUND_CAP else str(total)
     yield make(
         "I215",
-        f"predicted exchange volume <= {rendered} row transfer(s) per "
+        "predicted exchange volume <= "
+        f"{fmt_bound(report.total_exchange_bound)} row transfer(s) per "
         f"round across {report.exchange_required} exchange-required "
         f"stratum(a) on {report.workers} worker(s)",
     )
@@ -725,7 +717,7 @@ def check_shard_exchange_heavy(
             yield make(
                 "W118",
                 f"stratum [{', '.join(stratum.predicates)}] re-shuffles "
-                f"up to {_fmt_bound(stratum.exchange_bound)} row(s) "
+                f"up to {fmt_bound(stratum.exchange_bound)} row(s) "
                 "between every semi-naive round; no common partition "
                 "key survives its rules",
                 _cost_anchor(ctx, stratum.rule_indices),
@@ -745,12 +737,6 @@ def check_shard_sequential(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
             f"bottleneck under sharding: {stratum.basis}",
             _cost_anchor(ctx, stratum.rule_indices),
         )
-
-
-def _fmt_bound(bound: int) -> str:
-    from repro.analysis.cost import BOUND_CAP
-
-    return "saturated" if bound >= BOUND_CAP else str(bound)
 
 
 #: Extra passes run only under ``analyze(..., semantic=True)``.

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.analysis.dependency import (
     DependencyGraph,
@@ -50,6 +50,9 @@ from repro.core.optimize import rule_subsumes
 from repro.core.parser import Span
 from repro.core.terms import Variable
 from repro.core.ucq import UCQ
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.strata import ProgramWalk
 
 SpanLookup = Callable[[int], Optional[Span]]
 
@@ -615,16 +618,21 @@ class SemanticReport:
 def semantic_report(
     program: DatalogProgram,
     goal: Optional[str] = None,
-    dependency: Optional[DependencyGraph] = None,
+    walk: Optional["ProgramWalk"] = None,
     fragment: Optional[FragmentReport] = None,
     span_of: Optional[SpanLookup] = None,
 ) -> SemanticReport:
-    """Run the full semantic pipeline over ``program``."""
-    dependency = dependency or DependencyGraph(program)
+    """Run the full semantic pipeline over ``program`` (``walk`` shares
+    the dependency graph and boundedness report with other reports)."""
+    if walk is None:
+        from repro.analysis.strata import ProgramWalk
+
+        walk = ProgramWalk(program, goal)
+    dependency = walk.dependency
     fragment = fragment or fragment_report(program, dependency)
     return SemanticReport(
         capabilities=capability_facts(program, dependency, fragment, span_of),
         adornments=binding_patterns(program, goal, dependency),
-        boundedness=boundedness_report(program, goal, dependency),
+        boundedness=walk.boundedness,
         sorts=sort_report(program),
     )

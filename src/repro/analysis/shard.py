@@ -42,30 +42,30 @@ hashes to a different worker.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.runmode import Guard, register_guard
 from repro.core.terms import Variable
 
-from repro.analysis.cost import (
+from repro.analysis.cost import CostReport, cost_report
+from repro.analysis.dependency import rule_body_components
+from repro.analysis.strata import (
+    ANALYSIS_RULE_LIMIT,
     BOUND_CAP,
-    COST_RULE_LIMIT,
     CostParameters,
-    CostReport,
-    _sat_add,
-    _sat_mul,
-    cost_report,
+    ProgramWalk,
+    Record,
+    StratumReport,
+    as_json,
+    fmt_bound,
+    sat_mul,
+    sat_sum,
 )
-from repro.analysis.dependency import DependencyGraph, rule_body_components
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.instance import Instance
-
-#: shardability analysis is skipped above this rule count (mirrors
-#: COST_RULE_LIMIT: a mega-program's plan costs more than it saves)
-SHARD_RULE_LIMIT = COST_RULE_LIMIT
 
 #: workers the report is rendered for when the caller does not say
 DEFAULT_SHARD_WORKERS = 4
@@ -97,7 +97,7 @@ def shard_of(value: object, shards: int) -> int:
 
 
 @dataclass(frozen=True)
-class ShardStratumPlan:
+class ShardStratumPlan(Record):
     """The shardability classification of one SCC.
 
     ``keys`` maps every predicate occurring in the stratum's rules
@@ -106,7 +106,7 @@ class ShardStratumPlan:
     non-empty exactly for communication-free strata.  ``exchange_bound``
     is the worst-case number of row transfers between rounds for
     exchange-required strata (0 otherwise), saturating at
-    :data:`~repro.analysis.cost.BOUND_CAP`.
+    :data:`~repro.analysis.strata.BOUND_CAP`.
     """
 
     index: int
@@ -118,56 +118,31 @@ class ShardStratumPlan:
     rule_indices: tuple[int, ...]
     exchange_bound: int
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "index": self.index,
-            "predicates": list(self.predicates),
-            "recursive": self.recursive,
-            "classification": self.classification,
-            "keys": dict(self.keys),
-            "basis": self.basis,
-            "rule_indices": list(self.rule_indices),
-            "exchange_bound": self.exchange_bound,
-        }
-
 
 @dataclass(frozen=True)
-class ShardReport:
+class ShardReport(StratumReport[ShardStratumPlan]):
     """Everything the shardability analysis derived."""
 
-    parameters: CostParameters
     workers: int
-    strata: tuple[ShardStratumPlan, ...]
     communication_free: int
     exchange_required: int
     sequential: int
     total_exchange_bound: int
-    cost: Optional[CostReport] = field(default=None, compare=False)
-
-    def plan_of(self, pred: str) -> Optional[ShardStratumPlan]:
-        for stratum in self.strata:
-            if pred in stratum.predicates:
-                return stratum
-        return None
 
     def classification(self) -> dict[str, str]:
         """``pred -> classification`` over every IDB predicate."""
-        out: dict[str, str] = {}
-        for stratum in self.strata:
-            for pred in stratum.predicates:
-                out[pred] = stratum.classification
-        return out
+        return self.per_predicate("classification")
 
     def as_dict(self) -> dict[str, object]:
         return {
             "workers": self.workers,
             "assumed_parameters": self.parameters.assumed,
             "adom": self.parameters.adom,
-            "strata": [stratum.as_dict() for stratum in self.strata],
+            "strata": as_json(self.strata),
             "communication_free": self.communication_free,
             "exchange_required": self.exchange_required,
             "sequential": self.sequential,
-            "total_exchange_bound": _fmt_json(self.total_exchange_bound),
+            "total_exchange_bound": self.total_exchange_bound,
         }
 
     def render_text(self) -> str:
@@ -191,7 +166,7 @@ class ShardReport:
                 lines.append(f"    partition keys: {keys}")
             if stratum.classification == EXCHANGE_REQUIRED:
                 lines.append(
-                    f"    exchange bound: {_fmt(stratum.exchange_bound)} "
+                    f"    exchange bound: {fmt_bound(stratum.exchange_bound)} "
                     f"row transfer(s) per round"
                 )
             lines.append(f"    basis: {stratum.basis}")
@@ -199,17 +174,9 @@ class ShardReport:
             f"summary: {self.communication_free} communication-free, "
             f"{self.exchange_required} exchange-required, "
             f"{self.sequential} sequential stratum(a); total exchange "
-            f"bound {_fmt(self.total_exchange_bound)}"
+            f"bound {fmt_bound(self.total_exchange_bound)}"
         )
         return "\n".join(lines)
-
-
-def _fmt(bound: int) -> str:
-    return "saturated" if bound >= BOUND_CAP else str(bound)
-
-
-def _fmt_json(bound: int) -> object:
-    return "saturated" if bound >= BOUND_CAP else bound
 
 
 def _rule_pivots(rule: Rule) -> frozenset[Variable]:
@@ -323,7 +290,7 @@ def shard_report(
     goal: Optional[str] = None,
     instance: Optional["Instance"] = None,
     parameters: Optional[CostParameters] = None,
-    dependency: Optional[DependencyGraph] = None,
+    walk: Optional[ProgramWalk] = None,
     workers: int = DEFAULT_SHARD_WORKERS,
 ) -> ShardReport:
     """Plan a hash-partitioned parallel evaluation of ``program``.
@@ -332,27 +299,18 @@ def shard_report(
     the exchange-volume estimates come from; without either the
     assumed defaults are used.  ``workers`` only scales the exchange
     bounds — the classifications are worker-count independent.
+    ``walk`` shares the instance-free facts with other reports.
     """
     workers = max(1, workers)
-    if parameters is not None:
-        params = parameters
-    elif instance is not None:
-        params = CostParameters.from_instance(program, instance)
-    else:
-        params = CostParameters.assumed_for(program)
-    dep = dependency if dependency is not None else DependencyGraph(program)
-    within_limit = bool(program.rules) and (
-        len(program.rules) <= SHARD_RULE_LIMIT
-    )
+    params = CostParameters.resolve(program, instance, parameters)
+    if walk is None:
+        walk = ProgramWalk(program, goal)
+    dep = walk.dependency
     cost: Optional[CostReport] = None
-    if within_limit:
-        cost = cost_report(
-            program, goal=goal, parameters=params, dependency=dep
-        )
+    if walk.within_limit:
+        cost = cost_report(program, goal=goal, parameters=params, walk=walk)
 
     strata: list[ShardStratumPlan] = []
-    comm_free = exchange = sequential = 0
-    total_exchange = 0
     for scc in dep.sccs:
         rules = tuple(program.rules[i] for i in scc.rule_indices)
         classification = COMMUNICATION_FREE
@@ -369,11 +327,11 @@ def shard_report(
             classification = SEQUENTIAL
             index, reason = blocking[0]
             basis = f"rule {index}: {reason}"
-        elif not within_limit:
+        elif not walk.within_limit:
             classification = EXCHANGE_REQUIRED
             basis = (
-                f"program exceeds SHARD_RULE_LIMIT "
-                f"({len(program.rules)} > {SHARD_RULE_LIMIT}); "
+                f"program exceeds ANALYSIS_RULE_LIMIT "
+                f"({len(program.rules)} > {ANALYSIS_RULE_LIMIT}); "
                 f"key search skipped"
             )
             exchange_bound = BOUND_CAP
@@ -392,23 +350,15 @@ def shard_report(
                     "no common pivot position survives every rule; "
                     "deltas re-shuffled between semi-naive rounds"
                 )
-                for pred in sorted(scc.predicates):
-                    bound = (
-                        cost.bound_of(pred) if cost is not None else None
-                    )
-                    per_pred = bound.bound if bound is not None else BOUND_CAP
-                    exchange_bound = _sat_add(
-                        exchange_bound,
-                        _sat_mul(per_pred, workers - 1),
-                    )
+                bounds = (
+                    cost.bound_of(pred) if cost is not None else None
+                    for pred in sorted(scc.predicates)
+                )
+                exchange_bound = sat_sum(
+                    sat_mul(pb.bound if pb else BOUND_CAP, workers - 1)
+                    for pb in bounds
+                )
 
-        if classification == COMMUNICATION_FREE:
-            comm_free += 1
-        elif classification == EXCHANGE_REQUIRED:
-            exchange += 1
-        else:
-            sequential += 1
-        total_exchange = _sat_add(total_exchange, exchange_bound)
         strata.append(ShardStratumPlan(
             index=scc.index,
             predicates=tuple(sorted(scc.predicates)),
@@ -420,15 +370,15 @@ def shard_report(
             exchange_bound=exchange_bound,
         ))
 
+    kinds = [stratum.classification for stratum in strata]
     return ShardReport(
         parameters=params,
-        workers=workers,
         strata=tuple(strata),
-        communication_free=comm_free,
-        exchange_required=exchange,
-        sequential=sequential,
-        total_exchange_bound=total_exchange,
-        cost=cost,
+        workers=workers,
+        communication_free=kinds.count(COMMUNICATION_FREE),
+        exchange_required=kinds.count(EXCHANGE_REQUIRED),
+        sequential=kinds.count(SEQUENTIAL),
+        total_exchange_bound=sat_sum(s.exchange_bound for s in strata),
     )
 
 
@@ -455,9 +405,8 @@ class ShardGuard(Guard):
     claim = "conformant to the shard plan across {shards} worker(s)"
     count = ("strata", "strata")
 
-    def __init__(self, limit: int = SHARD_RULE_LIMIT) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.limit = limit
         self.strata = 0
         self.facts = 0
 

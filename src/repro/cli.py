@@ -34,13 +34,15 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
-
+from repro.analysis.cost import cost_report
+from repro.analysis.maintain import maintain_report
+from repro.analysis.shard import shard_report
 from repro.core.backend import backend_names
 from repro.core.runmode import run_mode
 from repro.core.cq import ConjunctiveQuery
-from repro.core.datalog import DatalogQuery
+from repro.core.datalog import DatalogProgram, DatalogQuery
 from repro.core.parser import (
     ParseError,
     Span,
@@ -79,6 +81,16 @@ def _input_error(
     return error
 
 
+def _goal_of(text: str) -> Optional[str]:
+    """The last ``# goal: <Pred>`` directive in ``text``, if any."""
+    goal = None
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("# goal:"):
+            goal = stripped.split(":", 1)[1].strip()
+    return goal
+
+
 def _parse_query_text(
     text: str,
     *,
@@ -94,11 +106,7 @@ def _parse_query_text(
     is a block cut out of a larger file (views files).
     """
     full = full_text if full_text is not None else text
-    goal = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# goal:"):
-            goal = stripped.split(":", 1)[1].strip()
+    goal = _goal_of(text)
     try:
         source = parse_program_source(text)
     except ParseError as exc:
@@ -299,12 +307,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from repro.core.parser import ParseError, parse_program_source
 
     text = Path(args.query).read_text()
-    goal = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# goal:"):
-            goal = stripped.split(":", 1)[1].strip()
-
+    goal = _goal_of(text)
     fixes = []
     try:
         views = load_views(args.views) if args.views else None
@@ -364,50 +367,112 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return LINT_OK
 
 
-#: diagnostic codes produced by the cost analysis passes
-COST_CODES = ("I209", "W112", "W113", "W114")
-
-#: diagnostic codes produced by the maintainability analysis passes
-MAINTAIN_CODES = ("I210", "I211", "I212", "W115", "W116", "W117")
-
-#: diagnostic codes produced by the shardability analysis passes
-SHARD_CODES = ("I213", "I214", "I215", "W118", "W119")
+def _name_set(text: str) -> frozenset[str]:
+    return frozenset(p.strip() for p in text.split(",") if p.strip())
 
 
-def _load_analyze_query(path: str):
-    """Parse an ``analyze`` query file span-aware: (program, source, goal)."""
-    text = _read_text(path)
-    goal = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# goal:"):
-            goal = stripped.split(":", 1)[1].strip()
-    try:
-        source = parse_program_source(text)
-    except ParseError as exc:
-        exc.path = path  # type: ignore[attr-defined]
-        raise
-    return source.program(), source, goal
+def _at_least(low: int) -> Callable[[int, DatalogProgram], Optional[str]]:
+    def check(value: int, program: DatalogProgram) -> Optional[str]:
+        return None if value >= low else f"must be >= {low}, got {value}"
+
+    return check
 
 
-def _run_analyze(args: argparse.Namespace, codes, build_report) -> int:
-    """Shared plumbing for the ``analyze`` subcommands.
+def _base_predicates(
+    names: frozenset[str], program: DatalogProgram
+) -> Optional[str]:
+    unknown = ", ".join(sorted(names - program.edb_predicates()))
+    return f"names {unknown}, not base (EDB) predicate(s)" if unknown else None
 
-    Parses the query file span-aware, loads ``--instance`` when given
-    (both through the ``ParseError``/``OSError`` handlers in
-    :func:`main`, so malformed input exits 2 with a positioned
-    diagnostic for every subcommand alike), calls ``build_report(
-    program, goal, instance)`` for the analysis-specific report, and
-    emits it in the selected format.  ``--format sarif`` re-runs the
-    full semantic analyzer and keeps only the subcommand's own
-    diagnostic ``codes`` so the artifact stays focused next to the
+
+class AnalyzeCommand(NamedTuple):
+    """One ``repro analyze`` subcommand: the report function it runs
+    (``report(program, goal=, instance=, **options)``), the diagnostic
+    codes its SARIF log keeps, and its own options as ``(flag, argparse
+    spec, check)`` — a check returning a message rejects the value
+    (one-line error, exit 2) instead of clamping it."""
+
+    name: str
+    help: str
+    report: Callable[..., Any]
+    codes: tuple[str, ...]
+    options: tuple[tuple[str, dict[str, Any], Callable[..., Optional[str]]], ...] = ()
+
+
+#: the ``repro analyze`` subcommands; ``query``, ``--instance`` and
+#: ``--format`` are shared by all of them
+ANALYZE_COMMANDS = (
+    AnalyzeCommand(
+        "cost", "certified cardinality bounds and join cost estimates",
+        cost_report, ("I209", "W112", "W113", "W114"),
+    ),
+    AnalyzeCommand(
+        "maintain",
+        "certified maintainability classification and delta bounds",
+        maintain_report,
+        ("I210", "I211", "I212", "W115", "W116", "W117"),
+        (
+            ("--update-size", {
+                "type": int, "default": 1, "metavar": "N",
+                "help": "base facts one round may change (default 1); "
+                "delta bounds are functions of this",
+            }, _at_least(0)),
+            ("--append-only", {
+                "type": _name_set, "default": frozenset(),
+                "metavar": "PREDS",
+                "help": "comma-separated base predicates promised never "
+                "to be retracted from (they stop counting as retraction "
+                "sources)",
+            }, _base_predicates),
+        ),
+    ),
+    AnalyzeCommand(
+        "shard",
+        "certified shardability classification and exchange bounds",
+        shard_report, ("I213", "I214", "I215", "W118", "W119"),
+        (
+            ("--workers", {
+                "type": int, "default": 4, "metavar": "N",
+                "help": "worker count the plan assumes (default 4); "
+                "exchange bounds scale with N-1",
+            }, _at_least(1)),
+        ),
+    ),
+)
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    """Run one static analysis over a query file.
+
+    The query file parses span-aware and ``--instance`` loads through
+    the ``ParseError``/``OSError`` handlers in :func:`main`, so
+    malformed input exits 2 with a positioned diagnostic for every
+    subcommand alike.  Without ``--instance`` the bounds use *assumed*
+    parameters (every EDB relation at 16 facts).  ``--format sarif``
+    re-runs the full semantic analyzer and keeps only the subcommand's
+    own diagnostic codes, so the artifact stays focused next to the
     full ``lint`` log.
     """
     import json
 
-    program, source, goal = _load_analyze_query(args.query)
+    command: AnalyzeCommand = args.analyze
+    text = _read_text(args.query)
+    try:
+        source = parse_program_source(text)
+    except ParseError as exc:
+        exc.path = args.query  # type: ignore[attr-defined]
+        raise
+    program, goal = source.program(), _goal_of(text)
+    options = {}
+    for flag, _, check in command.options:
+        dest = flag[2:].replace("-", "_")
+        problem = check(getattr(args, dest), program)
+        if problem is not None:
+            print(f"error: {flag} {problem}", file=sys.stderr)
+            return INPUT_ERROR
+        options[dest] = getattr(args, dest)
     instance = load_instance(args.instance) if args.instance else None
-    report = build_report(program, goal, instance)
+    report = command.report(program, goal=goal, instance=instance, **options)
 
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
@@ -417,88 +482,13 @@ def _run_analyze(args: argparse.Namespace, codes, build_report) -> int:
         analysis = analyze_query(
             program, source=source, goal=goal, semantic=True
         )
-        findings = [d for d in analysis.diagnostics if d.code in codes]
+        findings = [d for d in analysis.diagnostics if d.code in command.codes]
         print(json.dumps(
             sarif_report(findings, args.query), indent=2, sort_keys=True,
         ))
     else:
         print(report.render_text())
     return 0
-
-
-def cmd_analyze_cost(args: argparse.Namespace) -> int:
-    """Static cost & cardinality analysis of a query file.
-
-    Computes the certified per-predicate cardinality bounds and
-    per-rule join costs (:mod:`repro.analysis.cost`).  Without
-    ``--instance`` the bounds use *assumed* parameters (every EDB
-    relation at 16 facts); with one, the instance's measured relation
-    sizes and active domain.  ``--format sarif`` emits only the
-    cost-related diagnostics (I209, W112-W114) so the artifact stays
-    focused next to the full ``lint`` log.
-    """
-    from repro.analysis.cost import CostParameters, cost_report
-
-    def build(program, goal, instance):
-        parameters = None
-        if instance is None:
-            parameters = CostParameters.assumed_for(program)
-        return cost_report(
-            program, goal=goal, instance=instance, parameters=parameters
-        )
-
-    return _run_analyze(args, COST_CODES, build)
-
-
-def cmd_analyze_maintain(args: argparse.Namespace) -> int:
-    """Static maintainability analysis of a query file.
-
-    Classifies every stratum for update behavior (counting vs DRed,
-    insert-monotone, self-maintainable) and bounds |Δ| per update
-    (:mod:`repro.analysis.maintain`).  ``--format sarif`` emits only
-    the maintenance diagnostics (I210-I212, W115-W117).
-    """
-    from repro.analysis.cost import CostParameters
-    from repro.analysis.maintain import maintain_report
-
-    append_only = frozenset(
-        p.strip() for p in (args.append_only or "").split(",") if p.strip()
-    )
-
-    def build(program, goal, instance):
-        parameters = None
-        if instance is None:
-            parameters = CostParameters.assumed_for(program)
-        return maintain_report(
-            program, goal=goal, instance=instance, parameters=parameters,
-            update_size=args.update_size, append_only=append_only,
-        )
-
-    return _run_analyze(args, MAINTAIN_CODES, build)
-
-
-def cmd_analyze_shard(args: argparse.Namespace) -> int:
-    """Static shardability analysis of a query file.
-
-    Classifies every stratum as communication-free, exchange-required
-    or sequential for a hash-partitioned parallel fixpoint, with the
-    surviving partition keys and certified exchange-volume bounds
-    (:mod:`repro.analysis.shard`).  ``--format sarif`` emits only the
-    sharding diagnostics (I213-I215, W118-W119).
-    """
-    from repro.analysis.cost import CostParameters
-    from repro.analysis.shard import shard_report
-
-    def build(program, goal, instance):
-        parameters = None
-        if instance is None:
-            parameters = CostParameters.assumed_for(program)
-        return shard_report(
-            program, goal=goal, instance=instance, parameters=parameters,
-            workers=args.workers,
-        )
-
-    return _run_analyze(args, SHARD_CODES, build)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -517,11 +507,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     from repro.analysis.optimize import PASSES, optimize_program
 
     text = Path(args.query).read_text()
-    goal = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# goal:"):
-            goal = stripped.split(":", 1)[1].strip()
+    goal = _goal_of(text)
     query = _parse_query_text(text, path=args.query)
     if not isinstance(query, DatalogQuery):
         print(
@@ -711,71 +697,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="standalone static analyses (cost, maintain, shard)",
     )
     analyze_sub = analyze.add_subparsers(dest="analysis", required=True)
-    cost = analyze_sub.add_parser(
-        "cost",
-        help="certified cardinality bounds and join cost estimates",
-    )
-    cost.add_argument("query", help="Datalog query file")
-    cost.add_argument(
-        "--instance",
-        help="instance file; its measured relation sizes and active "
-        "domain parameterize the bounds (default: assumed parameters, "
-        "every EDB at 16 facts)",
-    )
-    cost.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="sarif emits only the cost diagnostics (I209, W112-W114)",
-    )
-    cost.set_defaults(func=cmd_analyze_cost)
-
-    maintain = analyze_sub.add_parser(
-        "maintain",
-        help="certified maintainability classification and delta bounds",
-    )
-    maintain.add_argument("query", help="Datalog query file")
-    maintain.add_argument(
-        "--instance",
-        help="instance file parameterizing the bounds (default: "
-        "assumed parameters, every EDB at 16 facts)",
-    )
-    maintain.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="sarif emits only the maintenance diagnostics "
-        "(I210-I212, W115-W117)",
-    )
-    maintain.add_argument(
-        "--update-size", type=int, default=1, metavar="N",
-        help="base facts one round may change (default 1); delta "
-        "bounds are functions of this",
-    )
-    maintain.add_argument(
-        "--append-only", metavar="PREDS",
-        help="comma-separated base predicates promised never to be "
-        "retracted from (they stop counting as retraction sources)",
-    )
-    maintain.set_defaults(func=cmd_analyze_maintain)
-
-    shard = analyze_sub.add_parser(
-        "shard",
-        help="certified shardability classification and exchange bounds",
-    )
-    shard.add_argument("query", help="Datalog query file")
-    shard.add_argument(
-        "--instance",
-        help="instance file parameterizing the exchange bounds "
-        "(default: assumed parameters, every EDB at 16 facts)",
-    )
-    shard.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="sarif emits only the sharding diagnostics "
-        "(I213-I215, W118-W119)",
-    )
-    shard.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="worker count the plan assumes (default 4); exchange "
-        "bounds scale with N-1",
-    )
-    shard.set_defaults(func=cmd_analyze_shard)
+    for command in ANALYZE_COMMANDS:
+        sub_parser = analyze_sub.add_parser(command.name, help=command.help)
+        sub_parser.add_argument("query", help="Datalog query file")
+        sub_parser.add_argument(
+            "--instance",
+            help="instance file; its measured relation sizes and active "
+            "domain parameterize the bounds (default: assumed "
+            "parameters, every EDB at 16 facts)",
+        )
+        sub_parser.add_argument(
+            "--format", choices=("text", "json", "sarif"), default="text",
+            help=f"sarif emits only the {command.name} diagnostics "
+            f"({', '.join(command.codes)})",
+        )
+        for flag, spec, _ in command.options:
+            sub_parser.add_argument(flag, **spec)
+        sub_parser.set_defaults(func=cmd_analyze, analyze=command)
 
     from repro.harness.cli import add_evidence_parser
 

@@ -268,12 +268,10 @@ class DatalogQuery:
             if collector is not None:
                 collector.optimize_fallbacks += 1
         if optimize:
-            from repro.analysis.optimize import (
-                OPTIMIZE_RULE_LIMIT,
-                optimized_query_program,
-            )
+            from repro.analysis.optimize import optimized_query_program
+            from repro.analysis.strata import ANALYSIS_RULE_LIMIT
 
-            if len(self.program.rules) > OPTIMIZE_RULE_LIMIT:
+            if len(self.program.rules) > ANALYSIS_RULE_LIMIT:
                 program = goal_directed_program(self.program, self.goal)
                 return set(
                     fixpoint(

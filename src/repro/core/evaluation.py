@@ -459,12 +459,12 @@ def fixpoint(
     ordering = "auto"
     if optimize:
         from repro.analysis.optimize import (
-            OPTIMIZE_RULE_LIMIT,
             reorder_joins,
             syntactic_fixpoint_program,
         )
+        from repro.analysis.strata import ANALYSIS_RULE_LIMIT
 
-        if len(program.rules) <= OPTIMIZE_RULE_LIMIT:
+        if len(program.rules) <= ANALYSIS_RULE_LIMIT:
             from repro.core.stats import suspended
 
             # the optimizer's subsumption checks are analysis, not

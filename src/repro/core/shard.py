@@ -249,12 +249,11 @@ def sharded_fixpoint(
     from repro.analysis.shard import (
         COMMUNICATION_FREE,
         SEQUENTIAL,
-        CostParameters,
         shard_of,
         shard_report,
     )
+    from repro.analysis.strata import ProgramWalk
     from repro.core.backend import resolve_backend
-    from repro.analysis.dependency import DependencyGraph
 
     engine = resolve_backend(backend)
     # workers run in a fresh context: ship the resolved name, not None
@@ -269,19 +268,14 @@ def sharded_fixpoint(
     collected = EngineStats()
     with _stats.suspended():
         # planning is analysis, not evaluation: keep it out of counters
-        dep = DependencyGraph(program)
-        plan = shard_report(
-            program,
-            parameters=CostParameters.assumed_for(program),
-            dependency=dep,
-            workers=shards,
-        )
+        walk = ProgramWalk(program)
+        plan = shard_report(program, walk=walk, workers=shards)
     audits = active_guards()
 
     state = instance.copy()
     pool: Optional[_WorkerPool] = None
     try:
-        for scc in dep.sccs:
+        for scc in walk.dependency.sccs:
             rules = [program.rules[i] for i in scc.rule_indices]
             if not rules:
                 continue

@@ -50,11 +50,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.analysis.dependency import SCC, DependencyGraph
-from repro.analysis.maintain import (
-    MAINTAIN_RULE_LIMIT,
-    MaintainReport,
-    maintain_report,
-)
+from repro.analysis.maintain import MaintainReport, maintain_report
+from repro.analysis.strata import ANALYSIS_RULE_LIMIT, ProgramWalk
 from repro.core import stats as _stats
 from repro.core.atoms import Atom, Fact
 from repro.core.datalog import DatalogProgram, Rule
@@ -179,12 +176,9 @@ class MaterializedView:
             optimize = mode.optimize
         self.optimize = bool(optimize)
         if self.optimize:
-            from repro.analysis.optimize import (
-                OPTIMIZE_RULE_LIMIT,
-                syntactic_fixpoint_program,
-            )
+            from repro.analysis.optimize import syntactic_fixpoint_program
 
-            if len(program.rules) <= OPTIMIZE_RULE_LIMIT:
+            if len(program.rules) <= ANALYSIS_RULE_LIMIT:
                 with _stats.suspended():
                     program = syntactic_fixpoint_program(program)
         self.program = program
@@ -193,6 +187,9 @@ class MaterializedView:
         self.rounds = 0
 
         graph = DependencyGraph(program)
+        #: the instance-free analysis facts every maintenance report of
+        #: this view reads (plan, admission bounds, guard audits)
+        self.walk = ProgramWalk(program, dependency=graph)
         self._sccs = graph.sccs
         self._idb: set[str] = set(graph.idb)
         self._recursive: set[str] = graph.recursive_predicates()
@@ -210,11 +207,9 @@ class MaterializedView:
         self._maintain_plan: Optional[MaintainReport] = None
         self._counting_rules: dict[int, tuple[Rule, ...]] = {}
         self._source_claims: Optional[dict[str, object]] = None
-        if len(program.rules) <= MAINTAIN_RULE_LIMIT:
+        if len(program.rules) <= ANALYSIS_RULE_LIMIT:
             with _stats.suspended():
-                self._maintain_plan = maintain_report(
-                    program, dependency=graph
-                )
+                self._maintain_plan = maintain_report(program, walk=self.walk)
             for stratum in self._maintain_plan.strata:
                 if stratum.recursive and stratum.counting_safe:
                     self._counting_rules[stratum.index] = tuple(
@@ -305,7 +300,7 @@ class MaterializedView:
         with _stats.suspended():
             report = maintain_report(
                 self.program, instance=self.base,
-                update_size=max(0, update_size),
+                update_size=max(0, update_size), walk=self.walk,
             )
         return report.total_delta_bound
 
@@ -318,10 +313,11 @@ class MaterializedView:
         not the optimized program this view maintains.
         """
         if self._source_claims is None:
-            if len(self.source_program.rules) > MAINTAIN_RULE_LIMIT:
+            if len(self.source_program.rules) > ANALYSIS_RULE_LIMIT:
                 return None
+            walk = self.walk if self.source_program is self.program else None
             with _stats.suspended():
-                report = maintain_report(self.source_program)
+                report = maintain_report(self.source_program, walk=walk)
             self._source_claims = report.classification()
         return self._source_claims
 

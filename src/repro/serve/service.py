@@ -127,12 +127,10 @@ class ProgramCache:
         source = parse_program(text)
         maintained = source
         if optimize:
-            from repro.analysis.optimize import (
-                OPTIMIZE_RULE_LIMIT,
-                syntactic_fixpoint_program,
-            )
+            from repro.analysis.optimize import syntactic_fixpoint_program
+            from repro.analysis.strata import ANALYSIS_RULE_LIMIT
 
-            if len(source.rules) <= OPTIMIZE_RULE_LIMIT:
+            if len(source.rules) <= ANALYSIS_RULE_LIMIT:
                 with _stats.suspended():
                     maintained = syntactic_fixpoint_program(source)
         self._entries[key] = (source, maintained)

@@ -1,9 +1,8 @@
 """The static cost & cardinality analysis: bounds, guard, diagnostics."""
 
 from repro.analysis.analyzer import analyze_query
+from repro.analysis.strata import ANALYSIS_RULE_LIMIT, BOUND_CAP
 from repro.analysis.cost import (
-    BOUND_CAP,
-    COST_RULE_LIMIT,
     CostParameters,
     atom_match_bound,
     cost_report,
@@ -173,6 +172,20 @@ def test_arithmetic_saturates_instead_of_overflowing():
     assert report.total_join_cost <= BOUND_CAP
 
 
+def test_saturated_bounds_render_as_saturated_in_text():
+    # a recursive arity-16 predicate: adom^16 saturates the head shape
+    args = ",".join(f"v{i}" for i in range(16))
+    rotated = ",".join(f"v{(i + 1) % 16}" for i in range(16))
+    program = parse_program(
+        f"P({args}) <- R({args}). P({args}) <- P({rotated})."
+    )
+    report = cost_report(program)
+    assert report.bound_of("P").bound == BOUND_CAP
+    text = report.render_text()
+    assert "P/16 <= saturated" in text
+    assert str(BOUND_CAP) not in text
+
+
 def test_empty_program_reports_nothing():
     report = cost_report(parse_program(""))
     assert not report.bounds
@@ -181,7 +194,7 @@ def test_empty_program_reports_nothing():
 
 def test_oversized_programs_are_skipped_by_volume():
     rules = " ".join(
-        f"P{i}(x) <- R(x)." for i in range(COST_RULE_LIMIT + 1)
+        f"P{i}(x) <- R(x)." for i in range(ANALYSIS_RULE_LIMIT + 1)
     )
     assert predicted_join_volume(parse_program(rules)) == 0
 

@@ -249,11 +249,12 @@ def test_cli_analyze_maintain_append_only(capsys):
 
     code = main([
         "analyze", "maintain", "examples/inputs/reach_query.txt",
-        "--format", "json", "--append-only", "E",
+        "--format", "json", "--append-only", "Flight",
     ])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert "E" not in payload["retraction_sources"]
+    assert "Flight" not in payload["retraction_sources"]
+    assert "Hub" in payload["retraction_sources"]
 
 
 def test_cli_analyze_maintain_sarif_carries_only_maintain_codes(capsys):
@@ -323,3 +324,36 @@ def test_cli_analyze_missing_instance_exits_2(command, capsys):
     ])
     assert code == 2
     assert capsys.readouterr().err.strip()
+
+
+# ---------------------------------------------------------------------------
+# CLI: bad option values are rejected, never clamped
+# ---------------------------------------------------------------------------
+def test_cli_analyze_maintain_rejects_negative_update_size(capsys):
+    from repro.cli import main
+
+    code = main([
+        "analyze", "maintain", "examples/inputs/reach_query.txt",
+        "--update-size", "-3",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--update-size" in err and "-3" in err
+
+
+def test_cli_analyze_maintain_rejects_non_edb_append_only(capsys):
+    from repro.cli import main
+
+    # a typo and an IDB name: neither is a base predicate of the query
+    code = main([
+        "analyze", "maintain", "examples/inputs/reach_query.txt",
+        "--append-only", "Flight,Fligth,Reach",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "Fligth" in err and "Reach" in err
+    assert "Flight," not in err

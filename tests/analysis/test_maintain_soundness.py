@@ -143,12 +143,22 @@ def test_predict_delta_covers_the_measured_round(program, base, schedule):
     a round must cover the net facts the round actually moves."""
     view = MaterializedView(program, base.copy())
     for inserts, retracts in schedule:
-        predicted = view.predict_delta(len(inserts) + len(retracts))
+        size = len(inserts) + len(retracts)
+        predicted = view.predict_delta(size)
         round_ = view.apply(inserts=inserts, retracts=retracts)
         measured = sum(len(rows) for rows in round_.plus.values())
         measured += sum(len(rows) for rows in round_.minus.values())
         assert predicted is not None and measured <= predicted, (
             f"predict_delta unsound: measured {measured} > "
             f"predicted {predicted}"
+            + _context(program, base, schedule)
+        )
+        # the view's reused analysis walk must agree with a
+        # from-scratch report on the post-round base
+        fresh = maintain_report(
+            view.program, instance=view.base, update_size=size
+        )
+        assert view.predict_delta(size) == fresh.total_delta_bound, (
+            "predict_delta drifted from a from-scratch maintain_report"
             + _context(program, base, schedule)
         )

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.optimize import (
     DEFAULT_PIPELINE,
-    OPTIMIZE_RULE_LIMIT,
     PASSES,
     _atom_cost,
     _greedy_order,
@@ -17,6 +16,7 @@ from repro.analysis.optimize import (
     reorder_joins,
     syntactic_fixpoint_program,
 )
+from repro.analysis.strata import ANALYSIS_RULE_LIMIT
 from repro.core.atoms import Atom
 from repro.core.terms import Variable
 from repro.certify import check_certificate
@@ -281,7 +281,7 @@ def test_equivalence_witnesses_cover_edbs_only():
 
 
 def test_rule_limit_is_sane():
-    assert OPTIMIZE_RULE_LIMIT >= 50
+    assert ANALYSIS_RULE_LIMIT >= 50
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,7 @@ def test_cli_analyze_shard_parse_error_exits_2(tmp_path, capsys):
 def test_cli_analyze_subcommands_share_exit_conventions(
     command, tmp_path, capsys
 ):
-    """The shared `_run_analyze` plumbing must keep the exact exit
+    """The shared `cmd_analyze` plumbing must keep the exact exit
     codes for all three subcommands: 0 on success for every format,
     2 on any unreadable input."""
     from repro.cli import main
@@ -316,3 +316,36 @@ def test_cli_analyze_subcommands_share_exit_conventions(
     code = main(["analyze", command, str(tmp_path / "missing.txt")])
     capsys.readouterr()
     assert code == 2
+
+
+def test_cli_analyze_shard_rejects_non_positive_workers(capsys):
+    from repro.cli import main
+
+    code = main([
+        "analyze", "shard", "examples/inputs/reach_query.txt",
+        "--workers", "-2",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--workers" in err and "-2" in err
+
+
+# ---------------------------------------------------------------------------
+# saturated bounds: JSON carries the integer, text says "saturated"
+# ---------------------------------------------------------------------------
+def test_saturated_exchange_bound_is_an_integer_in_json():
+    # a rotating arity-16 recursion: no key survives, and the relation
+    # bound adom^16 saturates the exchange bound
+    args = ",".join(f"v{i}" for i in range(16))
+    rotated = ",".join(f"v{(i + 1) % 16}" for i in range(16))
+    report = shard_report(parse_program(
+        f"P({args}) <- R({args}). P({args}) <- P({rotated})."
+    ))
+    payload = json.loads(json.dumps(report.as_dict()))
+    (stratum,) = payload["strata"]
+    assert stratum["classification"] == EXCHANGE_REQUIRED
+    assert isinstance(payload["total_exchange_bound"], int)
+    assert payload["total_exchange_bound"] == stratum["exchange_bound"]
+    assert "total exchange bound saturated" in report.render_text()

@@ -8,7 +8,7 @@ optimize switch must round-trip.
 
 import pytest
 
-from repro.analysis.optimize import OPTIMIZE_RULE_LIMIT
+from repro.analysis.strata import ANALYSIS_RULE_LIMIT
 from repro.core import parse_instance, parse_program
 from repro.core.atoms import Atom
 from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
@@ -56,7 +56,7 @@ def test_rule_limit_skips_optimization_but_still_answers():
     x, y = Variable("x"), Variable("y")
     rules = [
         Rule(Atom(f"P{i}", (x,)), (Atom("U", (x,)),))
-        for i in range(OPTIMIZE_RULE_LIMIT + 1)
+        for i in range(ANALYSIS_RULE_LIMIT + 1)
     ]
     rules.append(Rule(Atom("Goal", (x, y)), (Atom("R", (x, y)),)))
     big = DatalogProgram(rules)
