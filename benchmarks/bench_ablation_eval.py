@@ -1,13 +1,14 @@
 """ABL-EVAL — naive vs semi-naive fixpoint evaluation.
 
 The design choice DESIGN.md calls out for the evaluation substrate:
-semi-naive delta evaluation should dominate naive re-derivation on
+semi-naive delta evaluation — what the production ``stratified``
+strategy runs per SCC — should dominate naive re-derivation on
 recursive workloads, increasingly so with instance size.
 """
 
 import pytest
 
-from repro.core.evaluation import naive_fixpoint, seminaive_fixpoint
+from repro.core.evaluation import naive_fixpoint, stratified_fixpoint
 from repro.core.instance import Instance
 from repro.core.parser import parse_program
 
@@ -38,9 +39,9 @@ def _grid(n: int) -> Instance:
 
 
 @pytest.mark.parametrize("n", [10, 20, 30])
-def test_seminaive_chain(benchmark, engine_stats, n):
+def test_stratified_chain(benchmark, engine_stats, n):
     inst = _chain(n)
-    result = benchmark(seminaive_fixpoint, TC_PROGRAM, inst)
+    result = benchmark(stratified_fixpoint, TC_PROGRAM, inst)
     assert len(result.tuples("T")) == n * (n + 1) // 2
 
 
@@ -52,9 +53,9 @@ def test_naive_chain(benchmark, engine_stats, n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_seminaive_grid(benchmark, engine_stats, n):
+def test_stratified_grid(benchmark, engine_stats, n):
     inst = _grid(n)
-    result = benchmark(seminaive_fixpoint, TC_PROGRAM, inst)
+    result = benchmark(stratified_fixpoint, TC_PROGRAM, inst)
     assert result == naive_fixpoint(TC_PROGRAM, inst)
 
 

@@ -36,7 +36,6 @@ from repro.analysis.cost import (
     atom_match_bound,
     cost_report,
     predicate_bounds,
-    predicted_join_volume,
 )
 from repro.analysis.diagnostics import CODES, Diagnostic, Severity, make
 from repro.analysis.maintain import (
@@ -111,7 +110,6 @@ __all__ = [
     "atom_match_bound",
     "cost_report",
     "predicate_bounds",
-    "predicted_join_volume",
     "CODES",
     "Diagnostic",
     "Severity",

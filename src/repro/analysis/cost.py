@@ -31,8 +31,8 @@ All arithmetic saturates at :data:`~repro.analysis.strata.BOUND_CAP`
 (saturating *up* keeps
 every bound sound).  The per-rule join costs are sound bounds on the
 number of intermediate tuples a left-to-right join in the estimated
-order can produce; they drive the optimizer's join reordering, the
-``auto`` backend choice and the harness scheduler, but only the
+order can produce; they drive the optimizer's join reordering and
+the harness scheduler, but only the
 per-predicate cardinality bounds are certified by ``--check-cost``.
 """
 
@@ -380,22 +380,6 @@ def predicate_bounds(
     """Just the ``pred -> bound`` map (optimizer-facing shortcut)."""
     report = cost_report(program, goal=goal, instance=instance)
     return {pred: pb.bound for pred, pb in report.bounds.items()}
-
-
-def predicted_join_volume(
-    program: DatalogProgram, instance: Optional["Instance"] = None
-) -> int:
-    """Total predicted intermediate-tuple volume for one fixpoint.
-
-    The scalar the ``auto`` backend thresholds on: the sum of every
-    rule's join cost bound under measured (or assumed) parameters.
-    Not a certified bound — recursion reuses rule bodies across rounds
-    — but monotone in problem size, which is all a backend pick needs.
-    """
-    if not program.rules or len(program.rules) > ANALYSIS_RULE_LIMIT:
-        return 0
-    report = cost_report(program, instance=instance, peel=False)
-    return report.total_join_cost
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,8 @@ class DependencyGraph:
 
     ``sccs`` lists the condensation in *evaluation order*: a component
     appears after every component it depends on, so evaluating the
-    components left to right never revisits a finished one.
+    components left to right never revisits a finished one.  The order
+    is a function of the program alone, the same in every process.
     """
 
     def __init__(self, program: DatalogProgram) -> None:
@@ -59,7 +60,9 @@ class DependencyGraph:
         self.idb = program.idb_predicates()
         self.edb = program.edb_predicates()
         graph = nx.DiGraph()
-        graph.add_nodes_from(self.idb)
+        # networkx walks nodes in insertion order: sorted names make the
+        # order of independent components independent of string hashing
+        graph.add_nodes_from(sorted(self.idb))
         for rule in program.rules:
             for atom in rule.body:
                 if atom.pred in self.idb:

@@ -39,8 +39,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from repro.analysis.cost import cost_report
 from repro.analysis.maintain import maintain_report
 from repro.analysis.shard import shard_report
-from repro.core.backend import backend_names
-from repro.core.runmode import run_mode
+from repro.core.runmode import BACKENDS, run_mode
 from repro.core.cq import ConjunctiveQuery
 from repro.core.datalog import DatalogProgram, DatalogQuery
 from repro.core.parser import (
@@ -611,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verdict certificate",
     )
     decide.add_argument(
-        "--backend", choices=backend_names(), default="interpreted",
+        "--backend", choices=BACKENDS, default="interpreted",
         help="evaluation engine for every fixpoint the procedure runs "
         "(default interpreted)",
     )
@@ -632,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("query")
     evaluate.add_argument("instance")
     evaluate.add_argument(
-        "--backend", choices=backend_names(), default="interpreted",
+        "--backend", choices=BACKENDS, default="interpreted",
         help="evaluation engine (default interpreted)",
     )
     evaluate.set_defaults(func=cmd_eval)

@@ -8,15 +8,16 @@ from repro.core.stats import EngineStats, collecting
 from repro.core.cq import ConjunctiveQuery, CanonConst, cq_from_instance
 from repro.core.ucq import UCQ, as_ucq
 from repro.core.datalog import Rule, DatalogProgram, DatalogQuery
-from repro.core.evaluation import fixpoint, naive_fixpoint, seminaive_fixpoint
-from repro.core.backend import (
-    Backend,
-    backend_names,
-    get_backend,
-    register_backend,
-)
+from repro.core.evaluation import fixpoint, naive_fixpoint, stratified_fixpoint
 from repro.core.columnar import columnar_fixpoint
-from repro.core.runmode import Guard, RunMode, current, register_guard, run_mode
+from repro.core.runmode import (
+    BACKENDS,
+    Guard,
+    RunMode,
+    current,
+    register_guard,
+    run_mode,
+)
 from repro.core.approximation import (
     ExpansionNode,
     approximations,
@@ -73,9 +74,9 @@ __all__ = [
     "Variable", "variables", "Term", "Atom", "Fact", "make_fact",
     "Instance", "Schema", "ConjunctiveQuery", "CanonConst",
     "cq_from_instance", "UCQ", "as_ucq", "Rule", "DatalogProgram",
-    "DatalogQuery", "fixpoint", "naive_fixpoint", "seminaive_fixpoint",
-    "Backend", "backend_names", "columnar_fixpoint", "get_backend",
-    "register_backend", "RunMode", "Guard", "current", "run_mode",
+    "DatalogQuery", "fixpoint", "naive_fixpoint", "stratified_fixpoint",
+    "BACKENDS", "columnar_fixpoint", "RunMode", "Guard", "current",
+    "run_mode",
     "register_guard",
     "ExpansionNode", "approximations", "approximation_trees",
     "expansion_trees", "tree_to_cq", "is_normalized", "normalize",

@@ -19,8 +19,8 @@ is compiled **once per fixpoint call** into an explicit hash-join plan:
 * semi-naive deltas flow through the same plans as column batches
   seeded from the delta rows of one IDB body atom.
 
-The engine mirrors the interpreted strategies exactly — ``naive``,
-``seminaive`` and ``stratified`` (reusing the SCC execution plan of
+The engine mirrors the interpreted strategies exactly — ``naive`` and
+``stratified`` (reusing the SCC execution plan of
 :mod:`repro.core.evaluation`) — and the engine-equivalence property
 tests assert identical fixpoints across backends.  Work is reported
 through the columnar counters of :class:`repro.core.stats.EngineStats`
@@ -578,7 +578,7 @@ def _columnar_seminaive(
     collector: Optional[EngineStats],
     prelude: Sequence[Rule] = (),
 ) -> None:
-    """Semi-naive evaluation of one rule block, mirroring the
+    """Semi-naive evaluation of one stratum group, mirroring the
     interpreted engine's ``_seminaive_in_place`` round structure."""
     # Round 0: prelude fires eagerly, then every rule on the full state.
     if collector is not None:
@@ -654,29 +654,20 @@ def columnar_fixpoint(
     """``FPEval(Π, I)`` via batched hash joins over column arrays.
 
     Strategies mirror :mod:`repro.core.evaluation` exactly — ``naive``
-    re-fires every rule per round, ``seminaive`` delta-tracks the whole
-    IDB, ``stratified`` (the default) runs the SCC execution plan with
-    per-component delta tracking — and compute the identical fixpoint.
+    re-fires every rule per round, ``stratified`` (the default) runs the
+    SCC execution plan with per-component delta tracking — and compute
+    the identical fixpoint.
     """
-    if strategy not in ("naive", "seminaive", "stratified"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    from repro.core.evaluation import _execution_plan, check_strategy
+
+    check_strategy(strategy)
     with _stats.maybe_collecting(stats):
         collector = _stats.active()
         store = _Store(instance)
         plans = _ProgramPlans(store)
         if strategy == "naive":
             _columnar_naive(program, store, plans, collector)
-        elif strategy == "seminaive":
-            _columnar_seminaive(
-                program.rules,
-                store,
-                program.idb_predicates(),
-                plans,
-                collector,
-            )
         else:
-            from repro.core.evaluation import _execution_plan
-
             for prelude, rules, _keys, tracked in _execution_plan(program):
                 if rules:
                     _columnar_seminaive(

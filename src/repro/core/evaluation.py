@@ -1,19 +1,25 @@
 """Fixpoint evaluation of Datalog programs (``FPEval``, §2).
 
-Three strategies:
+Two strategies (:data:`STRATEGIES`):
 
 * :func:`naive_fixpoint` — re-derives everything each round (kept for the
-  ABL-EVAL ablation benchmark and as a correctness oracle in tests).
-* :func:`seminaive_fixpoint` — each round only considers rule
-  instantiations using at least one *newly derived* IDB fact, via
-  delta-rule rewriting of each rule body.
+  ABL-EVAL ablation benchmark and as the correctness oracle in tests).
 * :func:`stratified_fixpoint` — the production strategy: the SCC
   condensation of the predicate dependency graph (from
   :mod:`repro.analysis.dependency`) is evaluated one component at a
-  time, dependencies first.  Within a component the semi-naive engine
-  runs with *only that component's* predicates delta-tracked: rules
-  reading already-finished components join against their complete
-  relations exactly once instead of re-firing on every global round.
+  time, dependencies first.  Within a component semi-naive evaluation
+  runs with *only that component's* predicates delta-tracked: each
+  round only considers rule instantiations using at least one *newly
+  derived* fact, and rules reading already-finished components join
+  against their complete relations exactly once instead of re-firing
+  on every global round.
+
+Two engines (:data:`repro.core.runmode.BACKENDS`) run both strategies:
+``interpreted`` (this module: per-tuple backtracking homomorphism
+search) and ``columnar`` (:mod:`repro.core.columnar`: hash-join plans
+over column arrays).  :func:`engine_fixpoint` is the one dispatch
+between them; :func:`fixpoint` adds the run mode, the optimizer, the
+sharded executor and the audits around it.
 
 Semi-naive evaluation resolves each delta rule's join plan **once** per
 fixpoint call and replays it on every subsequent round (the plan is
@@ -30,7 +36,7 @@ EDB facts.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 
 from repro.core import stats as _stats
 from repro.core.atoms import Atom
@@ -42,8 +48,33 @@ from repro.core.homomorphism import (
     resolve_plan,
 )
 from repro.core.instance import Instance
-from repro.core.runmode import active_guards, current
+from repro.core.runmode import active_guards, check_backend, current
 from repro.core.stats import EngineStats
+
+if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycles
+    from repro.analysis.dependency import SCC
+
+#: the fixpoint strategies every engine runs; ``naive`` is the oracle
+STRATEGIES = ("naive", "stratified")
+
+#: per rule, per body atom: the empty-assignment match pattern
+_Patterns = list[list[list[Any]]]
+
+#: one step of the stratified schedule: (prelude rules, group rules,
+#: group rule keys, delta-tracked predicates)
+_Step = tuple[
+    tuple[Rule, ...], tuple[Rule, ...], tuple[int, ...], frozenset[str]
+]
+
+
+def check_strategy(name: str) -> str:
+    """``name`` if it is one of :data:`STRATEGIES`; loud otherwise."""
+    if name not in STRATEGIES:
+        raise ValueError(
+            f"unknown strategy {name!r} (known: {', '.join(STRATEGIES)})"
+        )
+    return name
+
 
 def _rule_derivations(
     rule: Rule, instance: Instance, ordering: str = "auto"
@@ -117,12 +148,12 @@ class _PlanCache:
     def __init__(
         self, collector: Optional[EngineStats], default: str = "auto"
     ) -> None:
-        self._plans: dict[tuple, tuple[list[Atom], str]] = {}
+        self._plans: dict[tuple[int, int], tuple[list[Atom], str]] = {}
         self._stats = collector
         self._default = default
 
     def ordering_for(
-        self, key: tuple, atoms: list[Atom], target: Instance
+        self, key: tuple[int, int], atoms: list[Atom], target: Instance
     ) -> tuple[list[Atom], str]:
         """The (ordered atoms, replay ordering) for a cached join."""
         plan = self._plans.get(key)
@@ -149,7 +180,7 @@ def _delta_derivations(
     idb: frozenset[str] | set[str],
     rule_key: int,
     plans: _PlanCache,
-    delta_patterns: list,
+    delta_patterns: list[list[Any]],
 ) -> Iterator[Atom]:
     """Derivations of ``rule`` using >=1 delta fact for some IDB body atom.
 
@@ -182,7 +213,7 @@ def _seminaive_in_place(
     state: Instance,
     tracked: frozenset[str] | set[str],
     plans: _PlanCache,
-    delta_patterns: list,
+    delta_patterns: _Patterns,
     collector: Optional[EngineStats],
     prelude: Sequence[Rule] = (),
     ordering: str = "auto",
@@ -190,11 +221,10 @@ def _seminaive_in_place(
     """Run the given rules to fixpoint, mutating ``state`` in place.
 
     ``tracked`` is the set of predicates whose facts participate in
-    delta propagation — the whole IDB signature for plain semi-naive
-    evaluation, or one SCC's predicates for a stratum.  Rules whose
-    bodies never read a tracked predicate fire exactly once (round 0 on
-    the complete current state) and the delta loop is skipped entirely
-    when no rule is recursive under ``tracked``.
+    delta propagation: the predicates of one group of strata.  Rules
+    whose bodies never read a tracked predicate fire exactly once
+    (round 0 on the complete current state) and the delta loop is
+    skipped entirely when no rule is recursive under ``tracked``.
 
     ``prelude`` rules (a dependency-ordered block of non-recursive
     rules feeding this stratum) fire exactly once at the start of round
@@ -241,7 +271,7 @@ def _seminaive_in_place(
         delta = fresh
 
 
-def _program_delta_patterns(program: DatalogProgram) -> list:
+def _program_delta_patterns(program: DatalogProgram) -> _Patterns:
     """Per rule: the empty-assignment match pattern of each body atom
     (constants + ANY wildcards), computed once instead of per round."""
     return [
@@ -250,31 +280,8 @@ def _program_delta_patterns(program: DatalogProgram) -> list:
     ]
 
 
-def seminaive_fixpoint(
-    program: DatalogProgram,
-    instance: Instance,
-    stats: Optional[EngineStats] = None,
-    ordering: str = "auto",
-) -> Instance:
-    """Semi-naive evaluation with per-round deltas and cached plans."""
-    with _stats.maybe_collecting(stats):
-        collector = _stats.active()
-        state = instance.copy()
-        _seminaive_in_place(
-            program.rules,
-            range(len(program.rules)),
-            state,
-            program.idb_predicates(),
-            _PlanCache(collector, ordering),
-            _program_delta_patterns(program),
-            collector,
-            ordering=ordering,
-        )
-        return state
-
-
 @lru_cache(maxsize=512)
-def _execution_plan(program: DatalogProgram) -> tuple:
+def _execution_plan(program: DatalogProgram) -> tuple[_Step, ...]:
     """The stratified engine's schedule, computed once per program.
 
     Greedy readiness scheduling over the SCC condensation: each step
@@ -294,7 +301,7 @@ def _execution_plan(program: DatalogProgram) -> tuple:
     graph = DependencyGraph(program)
     idb = graph.idb
 
-    def dependencies(scc) -> set[str]:
+    def dependencies(scc: SCC) -> set[str]:
         return {
             atom.pred
             for rule in scc.rules
@@ -304,12 +311,12 @@ def _execution_plan(program: DatalogProgram) -> tuple:
 
     remaining = list(graph.sccs)
     done: set[str] = set()
-    plan = []
+    plan: list[_Step] = []
     while remaining:
-        batch: list = []
+        batch: list[SCC] = []
         batch_preds: set[str] = set()
-        group: list = []
-        later = []
+        group: list[SCC] = []
+        later: list[SCC] = []
         for scc in remaining:  # topological order: deps scanned first
             if dependencies(scc) <= done | batch_preds:
                 if scc.recursive:
@@ -322,8 +329,9 @@ def _execution_plan(program: DatalogProgram) -> tuple:
         prelude = tuple(rule for scc in batch for rule in scc.rules)
         group_rules = tuple(rule for scc in group for rule in scc.rules)
         group_keys = tuple(key for scc in group for key in scc.rule_indices)
-        tracked = frozenset().union(*(scc.predicates for scc in group)) \
-            if group else frozenset()
+        tracked = frozenset[str]().union(
+            *(scc.predicates for scc in group)
+        )
         plan.append((prelude, group_rules, group_keys, tracked))
         done |= batch_preds | tracked
         remaining = later
@@ -368,9 +376,8 @@ def stratified_fixpoint(
     that component's predicates delta-tracked.  Rules of later
     components never fire during earlier ones, and finished components
     are joined as if they were EDB relations.  Equivalent to
-    :func:`seminaive_fixpoint` (see the engine-equivalence property
-    tests) with strictly less re-derivation work on multi-component
-    programs.
+    :func:`naive_fixpoint`, the oracle (see the engine-equivalence
+    property tests).
     """
     with _stats.maybe_collecting(stats):
         collector = _stats.active()
@@ -412,6 +419,30 @@ def goal_directed_program(program: DatalogProgram, goal: str) -> DatalogProgram:
     return DependencyGraph(program).prune_unreachable(goal)
 
 
+def engine_fixpoint(
+    program: DatalogProgram,
+    instance: Instance,
+    backend: str,
+    strategy: str,
+    stats: Optional[EngineStats] = None,
+    ordering: str = "auto",
+) -> Instance:
+    """One engine run, ``backend`` × ``strategy``: the single dispatch
+    behind :func:`fixpoint` and the shard workers.
+
+    No run-mode lookups, no optimizer, no audits.  ``ordering`` is the
+    interpreted engine's join-ordering hint; the columnar engine plans
+    its own joins and ignores it.
+    """
+    check_strategy(strategy)
+    if check_backend(backend) == "columnar":
+        from repro.core.columnar import columnar_fixpoint
+
+        return columnar_fixpoint(program, instance, strategy, stats)
+    engine = naive_fixpoint if strategy == "naive" else stratified_fixpoint
+    return engine(program, instance, stats, ordering)
+
+
 def fixpoint(
     program: DatalogProgram,
     instance: Instance,
@@ -423,8 +454,9 @@ def fixpoint(
 ) -> Instance:
     """``FPEval(Π, I)`` with a selectable strategy and backend.
 
-    Arguments left ``None`` come from the calling context's
-    :func:`repro.core.runmode.current` run mode.
+    ``strategy`` is one of :data:`STRATEGIES`.  Arguments left ``None``
+    come from the calling context's :func:`repro.core.runmode.current`
+    run mode.
 
     ``optimize=True`` first applies the *universally
     sound* optimizer passes — body minimization, subsumed-rule removal
@@ -436,9 +468,10 @@ def fixpoint(
     inlining) need a goal predicate and live in
     :meth:`repro.core.datalog.DatalogQuery.evaluate`.
 
-    ``backend`` names the evaluation engine.  The optimizer passes
-    are backend-independent program transforms, so they compose with
-    every backend; only the ``ordering`` hint is interpreted-specific.
+    ``backend`` names the evaluation engine, one of
+    :data:`repro.core.runmode.BACKENDS`.  The optimizer passes are
+    backend-independent program transforms, so they compose with both
+    engines; only the ``ordering`` hint is interpreted-specific.
 
     ``shards=N`` evaluates through the sharded parallel executor
     planned by :func:`repro.analysis.shard.shard_report` — hash-
@@ -451,8 +484,6 @@ def fixpoint(
     (:meth:`repro.core.runmode.Guard.on_fixpoint`) with the program
     *actually evaluated*.
     """
-    from repro.core.backend import resolve_backend
-
     mode = current()
     if optimize is None:
         optimize = mode.optimize
@@ -474,6 +505,8 @@ def fixpoint(
                     syntactic_fixpoint_program(program), instance
                 )
             ordering = "static"
+    if backend is None:
+        backend = mode.backend
     if shards is None:
         shards = mode.shards
     if shards > 1:
@@ -484,9 +517,8 @@ def fixpoint(
             ordering=ordering, backend=backend,
         )
     else:
-        result = resolve_backend(backend).fixpoint(
-            program, instance, strategy=strategy, stats=stats,
-            ordering=ordering,
+        result = engine_fixpoint(
+            program, instance, backend, strategy, stats, ordering
         )
     for guard in active_guards():
         guard.on_fixpoint(program, instance, result, stats)

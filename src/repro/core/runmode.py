@@ -47,6 +47,20 @@ if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycles
     from repro.ivm.materialized import MaintenanceRound, MaterializedView
 
 
+#: the evaluation engines, default first: every ``--backend`` choice
+#: list, run-mode validation and serve ``create`` validation read this
+BACKENDS = ("interpreted", "columnar")
+
+
+def check_backend(name: str) -> str:
+    """``name`` if it is one of :data:`BACKENDS`; loud otherwise."""
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {name!r} (known: {', '.join(BACKENDS)})"
+        )
+    return name
+
+
 @dataclass(frozen=True)
 class RunMode:
     """Evaluation settings that change what a run measures, not what
@@ -99,12 +113,6 @@ class Guard:
         self.checks = 0
         self.violations: list[dict[str, object]] = []
 
-    @classmethod
-    def enabled(cls, mode: RunMode) -> bool:
-        """Whether ``mode`` installs this guard (default: named in
-        :attr:`RunMode.checks`)."""
-        return cls.name in mode.checks
-
     def on_fixpoint(
         self,
         program: "DatalogProgram",
@@ -153,7 +161,6 @@ GUARD_TYPES: dict[str, type[Guard]] = {}
 
 #: modules whose import registers the built-in audits
 _BUILTIN_GUARDS = (
-    "repro.core.backend",
     "repro.analysis.cost",
     "repro.analysis.maintain",
     "repro.analysis.shard",
@@ -206,10 +213,8 @@ def run_mode(**changes: Any) -> Iterator[RunMode]:
     stays enabled keeps its instance (and tally) from the enclosing
     block; a newly enabled one starts fresh.
     """
-    from repro.core.backend import get_backend
-
     mode = replace(current(), **changes)
-    get_backend(mode.backend)
+    check_backend(mode.backend)
     types = guard_types()
     unknown = sorted(set(mode.checks) - set(types))
     if unknown:
@@ -221,7 +226,7 @@ def run_mode(**changes: Any) -> Iterator[RunMode]:
     active = tuple(
         installed[name] if name in installed else cls()
         for name, cls in types.items()
-        if cls.enabled(mode)
+        if name in mode.checks
     )
     mode_token = _MODE.set(mode)
     guard_token = _GUARDS.set(active)

@@ -24,9 +24,10 @@ each stratum by its classification:
 
 Workers are plain ``multiprocessing`` processes speaking a tiny
 pipe protocol (``reset`` / ``extend`` / ``fixpoint`` / ``stop``); they
-run the same ``interpreted``/``columnar`` backend seam as the parent
-and ship their :class:`~repro.core.stats.EngineStats` back with every
-result (worker fixpoint rounds surface as ``shard_local_rounds``).
+run the same engine dispatch as the parent
+(:func:`repro.core.evaluation.engine_fixpoint`) and ship their
+:class:`~repro.core.stats.EngineStats` back with every result (worker
+fixpoint rounds surface as ``shard_local_rounds``).
 Small inputs never pay any of this: below :data:`SHARD_MIN_FACTS`
 total (or per-stratum) facts the plain single-process path runs, so
 ``--shards`` is safe to leave on for a whole run.
@@ -43,7 +44,7 @@ from repro.core import stats as _stats
 from repro.core.atoms import Atom
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.instance import Instance
-from repro.core.runmode import active_guards
+from repro.core.runmode import active_guards, check_backend, current
 from repro.core.stats import EngineStats
 
 #: below this many facts (whole instance, or the slice a stratum
@@ -66,7 +67,7 @@ def _worker_main(conn: Any) -> None:
 
 
 def _worker_loop(conn: Any) -> None:
-    from repro.core.backend import resolve_backend
+    from repro.core.evaluation import engine_fixpoint
 
     relations: dict[str, set[tuple[Any, ...]]] = {}
     while True:
@@ -96,12 +97,13 @@ def _worker_loop(conn: Any) -> None:
                         tuple(row) for row in rows
                     )
                 stats = EngineStats()
-                result = resolve_backend(backend).fixpoint(
+                result = engine_fixpoint(
                     DatalogProgram(tuple(rules)),
                     Instance.from_tuples(merged),
-                    strategy=strategy,
-                    stats=stats,
-                    ordering=ordering,
+                    backend,
+                    strategy,
+                    stats,
+                    ordering,
                 )
                 payload = {
                     pred: sorted(result.tuples(pred), key=repr)
@@ -253,15 +255,16 @@ def sharded_fixpoint(
         shard_report,
     )
     from repro.analysis.strata import ProgramWalk
-    from repro.core.backend import resolve_backend
+    from repro.core.evaluation import check_strategy, engine_fixpoint
 
-    engine = resolve_backend(backend)
     # workers run in a fresh context: ship the resolved name, not None
-    backend = engine.name
+    backend = check_backend(
+        backend if backend is not None else current().backend
+    )
+    check_strategy(strategy)
     if shards <= 1 or not program.rules or len(instance) < SHARD_MIN_FACTS:
-        return engine.fixpoint(
-            program, instance, strategy=strategy, stats=stats,
-            ordering=ordering,
+        return engine_fixpoint(
+            program, instance, backend, strategy, stats, ordering
         )
 
     collector = stats if stats is not None else _stats.active()
@@ -295,12 +298,13 @@ def sharded_fixpoint(
                     and not (relevant <= keys.keys()))
             )
             if run_local:
-                local = engine.fixpoint(
+                local = engine_fixpoint(
                     DatalogProgram(tuple(rules)),
                     state.restrict(relevant),
-                    strategy=strategy,
-                    stats=collected,
-                    ordering=ordering,
+                    backend,
+                    strategy,
+                    collected,
+                    ordering,
                 )
                 for pred in scc.predicates:
                     for row in local.tuples(pred):

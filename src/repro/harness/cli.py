@@ -15,8 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.backend import backend_names
-from repro.core.runmode import RunMode, guard_types
+from repro.core.runmode import BACKENDS, RunMode, guard_types
 from repro.harness.cache import ResultCache, code_fingerprint
 from repro.harness.events import EventLog
 from repro.harness.manifest import (
@@ -222,7 +221,7 @@ def add_evidence_parser(sub: argparse._SubParsersAction) -> None:
         "so optimized and plain runs never share entries",
     )
     erun.add_argument(
-        "--backend", choices=backend_names(), default="interpreted",
+        "--backend", choices=BACKENDS, default="interpreted",
         help="evaluation engine for every job (default interpreted); "
         "part of the cache's run-mode key",
     )

@@ -141,8 +141,8 @@ def build_manifest(
     certified = 0
     audits = {
         name: {"checked": 0, "ok": 0}
-        for name, guard in guard_types().items()
-        if guard.enabled(mode)
+        for name in guard_types()
+        if name in mode.checks
     }
     ivm_jobs = 0
     ivm_rounds = 0

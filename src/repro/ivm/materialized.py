@@ -26,11 +26,11 @@ Per-stratum algorithms:
   _delta_derivations`, shared join-plan cache included).
 
 The insert-propagation phase is backend-aware: under the ``columnar``
-backend (or when ``auto`` predicts a large join volume) frontier facts
-are pushed through the PR-6 columnar delta plans in batches instead of
-tuple-at-a-time search.  The counting and overdelete phases always run
-interpreted — they join against *old* views of changed relations, a
-mixed old/new shape the append-only columnar store cannot express.
+backend frontier facts are pushed through the columnar delta plans in
+batches instead of tuple-at-a-time search.  The counting and
+overdelete phases always run interpreted — they join against *old*
+views of changed relations, a mixed old/new shape the append-only
+columnar store cannot express.
 
 Old views are never snapshotted eagerly: for a changed predicate ``p``
 the pre-round relation is reconstructed lazily as
@@ -64,7 +64,7 @@ from repro.core.evaluation import (
 )
 from repro.core.homomorphism import _bindings_for_row, _pattern, homomorphisms
 from repro.core.instance import Instance
-from repro.core.runmode import active_guards, current
+from repro.core.runmode import active_guards, check_backend, current
 from repro.core.stats import EngineStats
 
 Row = tuple[object, ...]
@@ -158,8 +158,7 @@ class MaterializedView:
     goal.
 
     ``backend`` picks the engine for insert propagation (``None`` → the
-    run mode's at construction; ``"auto"`` resolves per round from the
-    predicted join volume).
+    run mode's at construction).
     """
 
     def __init__(
@@ -182,7 +181,9 @@ class MaterializedView:
                 with _stats.suspended():
                     program = syntactic_fixpoint_program(program)
         self.program = program
-        self.backend = backend if backend is not None else mode.backend
+        self.backend = check_backend(
+            backend if backend is not None else mode.backend
+        )
         self.base = base.copy() if base is not None else Instance()
         self.rounds = 0
 
@@ -406,14 +407,13 @@ class MaterializedView:
                 elif not self.state.has_tuple(pred, row):
                     self._apply_add(pred, row, plus, minus)
 
-            backend = self._resolve_backend(collector)
             rederived = 0
             for scc in self._sccs:
                 counted_rules = self._counted_rules_for(scc)
                 if counted_rules is None:
                     rederived += self._maintain_recursive(
                         scc, plus, minus, old_cache,
-                        rec_del, rec_add, backend, collector,
+                        rec_del, rec_add, self.backend, collector,
                     )
                 else:
                     self._maintain_counted(
@@ -431,7 +431,7 @@ class MaterializedView:
                 collector.ivm_rederived += rederived
             round_ = MaintenanceRound(
                 index=self.rounds,
-                backend=backend,
+                backend=self.backend,
                 inserted=inserted,
                 deleted=deleted,
                 rederived=rederived,
@@ -488,14 +488,6 @@ class MaterializedView:
                 view.add_tuple(pred, row)
             cache[pred] = view
         return view
-
-    def _resolve_backend(self, collector: Optional[EngineStats]) -> str:
-        """The engine for this round's insert propagation."""
-        if self.backend != "auto":
-            return self.backend
-        from repro.core.backend import AutoBackend
-
-        return AutoBackend().choose(self.program, self.state, collector)
 
     # ------------------------------------------------------------------
     # counting maintenance (non-recursive strata)

@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.core.backend import backend_names
+from repro.core.runmode import BACKENDS
 from repro.serve.service import ReproServer, ServeService
 
 
@@ -49,7 +49,7 @@ def add_serve_parser(sub: Any) -> None:
         help="run new sessions' programs through the certified optimizer",
     )
     serve.add_argument(
-        "--backend", choices=backend_names(), default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="default evaluation backend for new sessions",
     )
     serve.add_argument(

@@ -32,10 +32,8 @@ per-round latency predictable and gives shutdown a single point at
 which to drain in-flight maintenance.
 
 Compiled programs are cached across sessions in :class:`ProgramCache`,
-keyed on content-addressed fingerprints: the hash of every source file
-in the ``repro`` package (so an engine edit invalidates everything),
-the hash of the program text, and the optimize flag.  A cache hit
-skips both parsing and the certified syntactic optimizer.
+keyed on the hash of the program text and the optimize flag.  A cache
+hit skips both parsing and the certified syntactic optimizer.
 
 When a session is created with ``certify`` (or the service default is
 on), every maintenance round's response carries an ``ivm_state``
@@ -56,10 +54,10 @@ from typing import Any, Optional
 from repro.core import parse_instance, parse_program
 from repro.core import stats as _stats
 from repro.core.atoms import Fact
-from repro.core.backend import backend_names
 from repro.core.datalog import DatalogProgram
 from repro.core.instance import Instance
 from repro.core.parser import ParseError
+from repro.core.runmode import check_backend
 from repro.core.stats import EngineStats
 from repro.ivm import MaterializedView
 
@@ -82,10 +80,10 @@ class ProtocolError(ValueError):
 class ProgramCache:
     """LRU of compiled (and optionally optimized) programs.
 
-    Keys are ``(code fingerprint, sha256(program text), optimize)``:
-    content-addressed on both the engine sources and the program, so a
-    stale entry is structurally impossible — any edit to either side
-    changes the key.  Values keep the *source* program alongside the
+    Keys are ``(sha256(program text), optimize)``: content-addressed on
+    the program, so an edit to it changes the key.  The cache lives in
+    process memory, so the engine code it was filled with is the code
+    that reads it.  Values keep the *source* program alongside the
     maintained one because certificates must claim the pre-optimizer
     program.
     """
@@ -94,24 +92,16 @@ class ProgramCache:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
-        self._code: Optional[str] = None
         self._entries: OrderedDict[
-            tuple[str, str, bool], tuple[DatalogProgram, DatalogProgram]
+            tuple[str, bool], tuple[DatalogProgram, DatalogProgram]
         ] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _code_fingerprint(self) -> str:
-        if self._code is None:
-            from repro.harness.cache import code_fingerprint
-
-            self._code = code_fingerprint()
-        return self._code
-
-    def key(self, text: str, optimize: bool) -> tuple[str, str, bool]:
+    def key(self, text: str, optimize: bool) -> tuple[str, bool]:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return (self._code_fingerprint(), digest, bool(optimize))
+        return (digest, bool(optimize))
 
     def fetch(
         self, text: str, optimize: bool
@@ -226,8 +216,8 @@ class ServeService:
         cache: Optional[ProgramCache] = None,
         max_delta: Optional[int] = None,
     ) -> None:
-        if backend is not None and backend not in backend_names():
-            raise ValueError(f"unknown backend {backend!r}")
+        if backend is not None:
+            check_backend(backend)
         if max_delta is not None and max_delta < 0:
             raise ValueError("max_delta must be non-negative")
         self.optimize = bool(optimize)
@@ -289,8 +279,8 @@ class ServeService:
         text = _require_str(request, "program")
         optimize = bool(request.get("optimize", self.optimize))
         backend = request.get("backend", self.backend)
-        if backend is not None and backend not in backend_names():
-            raise ProtocolError(f"unknown backend {backend!r}")
+        if backend is not None:
+            check_backend(backend)
         certify = bool(request.get("certify", self.certify))
 
         source, maintained, cached = self.cache.fetch(text, optimize)

@@ -7,7 +7,6 @@ from repro.analysis.cost import (
     atom_match_bound,
     cost_report,
     predicate_bounds,
-    predicted_join_volume,
 )
 from repro.core.atoms import Atom
 from repro.core.evaluation import fixpoint
@@ -192,11 +191,15 @@ def test_empty_program_reports_nothing():
     assert report.total_bound == 0
 
 
-def test_oversized_programs_are_skipped_by_volume():
+def test_oversized_programs_are_skipped_by_the_cost_guard():
     rules = " ".join(
         f"P{i}(x) <- R(x)." for i in range(ANALYSIS_RULE_LIMIT + 1)
     )
-    assert predicted_join_volume(parse_program(rules)) == 0
+    with run_mode(checks=("cost",)):
+        fixpoint(parse_program(rules), parse_instance("R(1)."))
+        summary = guards()["cost"].summary()
+    assert summary["checks"] == 0
+    assert summary["violations"] == []
 
 
 def test_predicate_bounds_shortcut_matches_report():

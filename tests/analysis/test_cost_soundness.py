@@ -26,7 +26,7 @@ _CONSTS = [0, 1, 2, "a", None]
 _EDB = [("R", 2), ("U", 1), ("Empty", 1)]
 _IDB = [("P", 2), ("Q", 1), ("G", 1)]
 
-_STRATEGIES = ("naive", "seminaive", "stratified")
+_STRATEGIES = ("naive", "stratified")
 _BACKENDS = ("interpreted", "columnar")
 
 

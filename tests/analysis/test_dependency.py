@@ -157,3 +157,48 @@ def test_prune_unreachable_still_prunes_dead_rules():
     pruned = prune_unreachable(query)
     heads = {rule.head.pred for rule in pruned.program.rules}
     assert heads == {"T", "Goal"}
+
+
+# four independent recursive strata under two unrelated roots: the
+# dependency order leaves their relative order open
+INDEPENDENT = """\
+# goal: Goal
+Alpha(x,y) <- E(x,y).
+Alpha(x,y) <- E(x,z), Alpha(z,y).
+Beta(x,y) <- F(x,y).
+Beta(x,y) <- F(x,z), Beta(z,y).
+Gamma(x) <- G(x).
+Gamma(y) <- Gamma(x), E(x,y).
+Delta(x) <- H(x).
+Delta(y) <- Delta(x), F(x,y).
+Goal(x) <- Alpha(x,y), Gamma(y).
+Side(x) <- Beta(x,y), Delta(y).
+"""
+
+
+def test_strata_reports_are_byte_identical_across_hash_seeds(tmp_path):
+    """``analyze maintain``, ``analyze shard`` and ``lint --semantic``
+    list strata in the same order whatever ``PYTHONHASHSEED`` is."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    program = tmp_path / "independent.txt"
+    program.write_text(INDEPENDENT)
+    root = Path(__file__).resolve().parents[2]
+    for command in (
+        ["analyze", "maintain"], ["analyze", "shard"], ["lint", "--semantic"],
+    ):
+        outputs = set()
+        for seed in ("0", "1"):
+            env = {
+                **os.environ, "PYTHONHASHSEED": seed,
+                "PYTHONPATH": str(root / "src"),
+            }
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *command, str(program)],
+                capture_output=True, env=env, cwd=root, check=False,
+            )
+            outputs.add(done.stdout + done.stderr)
+        assert len(outputs) == 1, command

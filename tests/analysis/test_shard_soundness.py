@@ -31,7 +31,7 @@ from tests.analysis.test_cost_soundness import (
     programs_with_constants,
 )
 
-_STRATEGIES = ("naive", "seminaive", "stratified")
+_STRATEGIES = ("naive", "stratified")
 _BACKENDS = ("interpreted", "columnar")
 
 

@@ -1,10 +1,12 @@
-"""Backend registry, selection plumbing, and the optimize fallback.
+"""Backend selection plumbing, the engine dispatch, and the optimize
+fallback.
 
 The columnar engine's *semantic* equivalence is covered by the
 property suite in ``test_backend_equivalence.py``; here we pin the
-seams: name resolution, ambient defaults, counter routing, and the
-``DatalogQuery.evaluate(optimize=True)`` retreat on IDB-fact-carrying
-instances (which used to be silent).
+seams: name validation, the engine × strategy dispatch, ambient
+defaults, counter routing, and the ``DatalogQuery.evaluate(optimize=
+True)`` retreat on IDB-fact-carrying instances (which used to be
+silent).
 """
 
 from __future__ import annotations
@@ -12,18 +14,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core import stats as _stats
-from repro.core.backend import (
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
 from repro.core.columnar import columnar_fixpoint
-from repro.core.datalog import DatalogQuery
-from repro.core.evaluation import fixpoint
+from repro.core.evaluation import (
+    STRATEGIES,
+    engine_fixpoint,
+    fixpoint,
+    naive_fixpoint,
+)
 from repro.core.instance import Instance
-from repro.core.parser import parse_instance, parse_program, parse_query
-from repro.core.runmode import current, guards, run_mode
+from repro.core.parser import parse_program, parse_query
+from repro.core.runmode import BACKENDS, current, run_mode
 from repro.core.stats import EngineStats
 
 
@@ -37,55 +37,46 @@ def _chain(n: int) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# registry and defaults
+# names, defaults and the engine dispatch
 # ---------------------------------------------------------------------------
 
 def test_backend_names_lists_default_first():
-    names = backend_names()
-    assert names[0] == "interpreted"
-    assert "columnar" in names
-
-
-def test_get_backend_resolves_both_shipped_engines():
-    assert get_backend("interpreted").name == "interpreted"
-    assert get_backend("columnar").name == "columnar"
-
-
-def test_get_backend_unknown_name_is_loud():
-    with pytest.raises(ValueError, match="vectorized.*known"):
-        get_backend("vectorized")
+    assert BACKENDS == ("interpreted", "columnar")
+    assert STRATEGIES == ("naive", "stratified")
 
 
 def test_set_default_backend_returns_previous_and_validates():
     assert current().backend == "interpreted"
     with run_mode(backend="columnar") as mode:
         assert mode.backend == current().backend == "columnar"
-        assert resolve_backend(None).name == "columnar"
         # an invalid name is rejected without clobbering the mode
-        with pytest.raises(ValueError, match="unknown backend"):
-            with run_mode(backend="nope"):
-                pass
+        for name in ("nope", "auto"):
+            with pytest.raises(ValueError, match="unknown backend.*known"):
+                with run_mode(backend=name):
+                    pass
         assert current().backend == "columnar"
     assert current().backend == "interpreted"
 
 
-def test_register_backend_makes_name_resolvable():
-    class Echo:
-        name = "echo-test"
+def test_engine_fixpoint_runs_every_engine_and_strategy():
+    inst = _chain(6)
+    expected = naive_fixpoint(TC, inst)
+    for backend in BACKENDS:
+        for strategy in STRATEGIES:
+            stats = EngineStats()
+            result = engine_fixpoint(TC, inst, backend, strategy, stats)
+            assert result == expected, (backend, strategy)
+            # each engine reports its own kind of work
+            if backend == "columnar":
+                assert stats.hom_calls == 0 and stats.join_probe_rows > 0
+            else:
+                assert stats.join_probe_rows == 0 and stats.hom_calls > 0
 
-        def fixpoint(self, program, instance, *, strategy="stratified",
-                     stats=None, ordering="auto"):
-            return instance
 
-    register_backend(Echo())
-    try:
-        assert "echo-test" in backend_names()
-        inst = _chain(2)
-        assert fixpoint(TC, inst, backend="echo-test") == inst
-    finally:
-        from repro.core import backend as backend_module
-
-        del backend_module._BACKENDS["echo-test"]
+def test_fixpoint_rejects_the_seminaive_strategy():
+    for backend in BACKENDS:
+        with pytest.raises(ValueError, match="'seminaive'.*naive, stratified"):
+            fixpoint(TC, _chain(2), strategy="seminaive", backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +99,15 @@ def test_fixpoint_backend_param_selects_columnar():
 
 
 def test_fixpoint_unknown_backend_is_loud():
-    with pytest.raises(ValueError, match="unknown backend"):
-        fixpoint(TC, _chain(2), backend="nope")
+    for name in ("nope", "auto"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            fixpoint(TC, _chain(2), backend=name)
 
 
 def test_columnar_unknown_strategy_is_loud():
-    with pytest.raises(ValueError, match="unknown strategy"):
-        columnar_fixpoint(TC, _chain(2), strategy="bogus")
+    for name in ("bogus", "seminaive"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            columnar_fixpoint(TC, _chain(2), strategy=name)
 
 
 def test_fixpoint_uses_ambient_default_backend():
@@ -183,7 +176,7 @@ def test_columnar_handles_idb_facts_in_input():
     """Input facts for intensional predicates seed the fixpoint."""
     inst = _chain(3)
     inst.add_tuple("T", (50, 60))
-    for strategy in ("naive", "seminaive", "stratified"):
+    for strategy in STRATEGIES:
         a = fixpoint(TC, inst, strategy=strategy)
         b = fixpoint(TC, inst, strategy=strategy, backend="columnar")
         assert a == b, strategy
@@ -247,77 +240,18 @@ def test_cli_decide_accepts_backend_flag(tmp_path, capsys):
     assert current().backend == "interpreted"
 
 
-# ---------------------------------------------------------------------------
-# the auto backend (cost-model-driven choice)
-# ---------------------------------------------------------------------------
-
-def test_auto_backend_is_registered():
-    from repro.core.backend import AutoBackend
-
-    assert "auto" in backend_names()
-    assert isinstance(get_backend("auto"), AutoBackend)
-
-
-def _auto_resolutions(*instances, backend=None):
-    """Run TC on each instance under the auto run mode; the recorded
-    backend choices."""
-    with run_mode(backend="auto"):
-        for instance in instances:
-            (backend or get_backend("auto")).fixpoint(TC, instance)
-        return guards()["backend"].summary()["resolutions"]
-
-
-def test_auto_backend_small_volume_stays_interpreted():
-    small = _chain(5)
-    with run_mode(backend="auto"):
-        assert fixpoint(TC, small) == fixpoint(TC, small, backend="interpreted")
-        (resolution,) = guards()["backend"].resolutions
-    assert resolution["backend"] == "interpreted"
-    assert 0 < resolution["volume"] < resolution["threshold"]
-
-
-def test_auto_backend_large_volume_goes_columnar():
-    big = _chain(120)
-    with run_mode(backend="auto"):
-        assert fixpoint(TC, big) == fixpoint(TC, big, backend="interpreted")
-        (resolution,) = guards()["backend"].resolutions
-    assert resolution["backend"] == "columnar"
-    assert resolution["volume"] >= resolution["threshold"]
-
-
-def test_auto_backend_threshold_is_tunable():
-    from repro.core.backend import AutoBackend
-
-    eager = AutoBackend(threshold=1)
-    (resolution,) = _auto_resolutions(_chain(4), backend=eager)
-    assert resolution["backend"] == "columnar"
-    assert resolution["threshold"] == 1
-
-
-def test_auto_backend_counts_choices_into_engine_stats():
-    stats = EngineStats()
-    fixpoint(TC, _chain(5), backend="auto", stats=stats)
-    fixpoint(TC, _chain(120), backend="auto", stats=stats)
-    assert stats.auto_backend_interpreted == 1
-    assert stats.auto_backend_columnar == 1
-
-
-def test_auto_resolutions_reset_and_accumulate():
-    # choices accumulate within one auto run-mode block ...
-    assert len(_auto_resolutions(_chain(3), _chain(3))) == 2
-    # ... and every block starts a fresh tally
-    assert len(_auto_resolutions(_chain(3))) == 1
-    # outside an auto block no backend guard is installed at all
-    fixpoint(TC, _chain(3), backend="auto")
-    assert "backend" not in guards()
-
-
-def test_cli_eval_accepts_auto_backend(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["eval", "q.txt", "i.txt"],
+    ["decide", "q.txt", "v.txt"],
+    ["evidence", "run"],
+    ["serve", "--once", "s.json"],
+])
+def test_cli_backend_rejects_unknown_names(argv, capsys):
+    """All four ``--backend`` flags take exactly the two engines."""
     from repro.cli import main
 
-    qf = tmp_path / "q.txt"
-    qf.write_text("# goal: T\nT(x,y) <- R(x,y). T(x,y) <- R(x,z), T(z,y).")
-    inf = tmp_path / "i.txt"
-    inf.write_text("R(1,2). R(2,3).")
-    assert main(["eval", str(qf), str(inf), "--backend", "auto"]) == 0
-    assert "(1, 3)" in capsys.readouterr().out
+    for name in ("nope", "auto"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--backend", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.atoms import Atom
 from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
-from repro.core.evaluation import fixpoint, naive_fixpoint, seminaive_fixpoint
+from repro.core.evaluation import fixpoint, naive_fixpoint, stratified_fixpoint
 from repro.core.instance import Instance
 from repro.core.parser import parse_instance, parse_program
 from repro.core.terms import Variable
@@ -141,7 +141,7 @@ def test_naive_equals_seminaive_on_random_instances(seed):
         """
     )
     inst = random_instance(seed, {"R": 2})
-    assert naive_fixpoint(program, inst) == seminaive_fixpoint(program, inst)
+    assert naive_fixpoint(program, inst) == stratified_fixpoint(program, inst)
 
 
 @pytest.mark.parametrize("seed", range(8))

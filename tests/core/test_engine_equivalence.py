@@ -3,8 +3,9 @@
 Randomized generated programs/instances must satisfy two invariants
 regardless of any planner or indexing change:
 
-* ``naive_fixpoint`` ≡ ``seminaive_fixpoint`` (the naive strategy is the
-  correctness oracle for the delta-rule + plan-cache machinery);
+* ``naive_fixpoint`` ≡ ``stratified_fixpoint`` (the naive strategy is
+  the correctness oracle for the semi-naive delta-rule + plan-cache
+  machinery the stratified engine runs per stratum);
 * the ``dynamic`` / ``static`` / ``connected`` homomorphism orderings
   enumerate exactly the same homomorphism set.
 """
@@ -18,11 +19,7 @@ from hypothesis import strategies as st
 from repro.analysis.dependency import prune_unreachable
 from repro.core.atoms import Atom
 from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
-from repro.core.evaluation import (
-    naive_fixpoint,
-    seminaive_fixpoint,
-    stratified_fixpoint,
-)
+from repro.core.evaluation import naive_fixpoint, stratified_fixpoint
 from repro.core.homomorphism import homomorphisms
 from repro.core.instance import Instance
 from repro.core.stats import EngineStats
@@ -67,12 +64,10 @@ def test_naive_equals_seminaive_on_random_programs(seed):
         seed * 31 + 7, {"R": 2, "U": 1}, max_elements=4, max_facts=7
     )
     naive = naive_fixpoint(program, instance)
-    seminaive = seminaive_fixpoint(program, instance)
     stratified = stratified_fixpoint(program, instance)
-    assert naive == seminaive == stratified, (
+    assert naive == stratified, (
         f"strategies disagree on seed {seed}:\n"
         f"program:\n{program!r}\nnaive:\n{naive.pretty()}\n"
-        f"seminaive:\n{seminaive.pretty()}\n"
         f"stratified:\n{stratified.pretty()}"
     )
 
@@ -100,7 +95,8 @@ def test_orderings_enumerate_identical_homomorphism_sets(seed):
 
 
 def test_seminaive_with_stats_matches_and_counts():
-    """Transitive closure on a chain: counters populated, result exact."""
+    """Transitive closure on a chain through the semi-naive (stratified)
+    engine: counters populated, result exact."""
     rules = [
         Rule(
             Atom("T", (Variable("x"), Variable("y"))),
@@ -120,7 +116,7 @@ def test_seminaive_with_stats_matches_and_counts():
     for i in range(n):
         inst.add_tuple("R", (i, i + 1))
     stats = EngineStats()
-    result = seminaive_fixpoint(program, inst, stats=stats)
+    result = stratified_fixpoint(program, inst, stats=stats)
     assert len(result.tuples("T")) == n * (n + 1) // 2
     assert result == naive_fixpoint(program, inst)
     assert stats.fixpoint_rounds >= 2
@@ -133,7 +129,7 @@ def test_seminaive_with_stats_matches_and_counts():
 
 
 # ---------------------------------------------------------------------------
-# hypothesis: stratified/pruned evaluation ≡ plain semi-naive
+# hypothesis: stratified/pruned evaluation ≡ naive (the oracle)
 # ---------------------------------------------------------------------------
 _H_VARS = [Variable(n) for n in "xyzw"]
 _H_EDB = [("R", 2), ("U", 1)]
@@ -187,18 +183,17 @@ def small_edb_instances(draw) -> Instance:
 @given(program=small_programs(), instance=small_edb_instances())
 @settings(max_examples=60, deadline=None)
 def test_stratified_strategy_is_equivalent(program, instance):
-    """The SCC-stratified engine computes the exact semi-naive fixpoint."""
-    expected = seminaive_fixpoint(program, instance)
+    """The SCC-stratified engine computes the exact naive fixpoint."""
+    expected = naive_fixpoint(program, instance)
     assert stratified_fixpoint(program, instance) == expected
-    assert naive_fixpoint(program, instance) == expected
 
 
 @given(program=small_programs(), instance=small_edb_instances())
 @settings(max_examples=60, deadline=None)
 def test_pruned_goal_directed_evaluation_is_equivalent(program, instance):
     """prune_unreachable + stratified evaluation preserves every goal
-    relation of the plain semi-naive fixpoint, for every possible goal."""
-    full = seminaive_fixpoint(program, instance)
+    relation of the naive fixpoint, for every possible goal."""
+    full = naive_fixpoint(program, instance)
     for goal in sorted(program.idb_predicates()):
         query = DatalogQuery(program, goal)
         pruned = prune_unreachable(query)

@@ -1,7 +1,7 @@
 """Differential fuzzing of the evaluation engines.
 
 Random safe Datalog programs + random instances: naive and semi-naive
-fixpoints must agree, and the bounded approximation semantics (Prop. 1)
+(stratified) fixpoints must agree, and the bounded approximation semantics (Prop. 1)
 must match on small instances.
 """
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.atoms import Atom
 from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
-from repro.core.evaluation import naive_fixpoint, seminaive_fixpoint
+from repro.core.evaluation import naive_fixpoint, stratified_fixpoint
 from repro.core.instance import Instance
 from repro.core.terms import Variable
 
@@ -69,7 +69,7 @@ def test_naive_equals_seminaive_fuzz(seed):
     rng = random.Random(seed)
     program = _random_program(rng)
     instance = _random_instance(rng)
-    assert naive_fixpoint(program, instance) == seminaive_fixpoint(
+    assert naive_fixpoint(program, instance) == stratified_fixpoint(
         program, instance
     )
 

@@ -123,7 +123,7 @@ def test_sharded_strategies_and_backends_agree():
     program = _tc_program()
     base = _chain_instance(280)
     single = fixpoint(program, base)
-    for strategy in ("seminaive", "stratified"):
+    for strategy in ("naive", "stratified"):
         for backend in ("interpreted", "columnar"):
             sharded = sharded_fixpoint(
                 program, base, 2, strategy=strategy, backend=backend

@@ -299,27 +299,82 @@ def test_evidence_run_no_schedule_keeps_registration_order(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
 
 
-def test_evidence_run_auto_backend_records_resolutions(tmp_path, capsys):
+#: prefix of the two engine counters the removed ``auto`` backend kept
+_AUTO_PICKS = "auto_backend"
+
+
+def _manifest_recorded_with_backend_auto() -> dict:
+    """A schema-9 manifest as ``evidence run --backend auto`` wrote it
+    before that backend was removed: two ``auto`` pick counters in the
+    engine totals and a ``backend`` audit carrying the per-fixpoint
+    resolutions."""
+    audit = {
+        "checks": 2,
+        "resolutions": [
+            {"backend": "interpreted", "threshold": 4096, "volume": 96},
+            {"backend": "columnar", "threshold": 4096, "volume": 15000},
+        ],
+        "violations": [],
+    }
+    engine = {
+        "hom_calls": 40, "search_steps": 90, "rows_scanned": 300,
+        "fixpoint_rounds": 12, "facts_derived": 50,
+        "join_probe_rows": 20, f"{_AUTO_PICKS}_interpreted": 1,
+        f"{_AUTO_PICKS}_columnar": 1, "phase_seconds": {},
+    }
+    return {
+        "schema": 9, "created": "2026-01-01T00:00:00+00:00",
+        "code_fingerprint": "old", "workers": 1, "default_timeout_s": 120.0,
+        "cache_used": False, "optimize": False, "backend": "auto",
+        "shards": 0, "checks": [],
+        "jobs": {
+            "t1-cq-rewriting": {
+                "name": "t1-cq-rewriting", "status": "ok",
+                "expected": "rewritable", "verdict": "rewritable",
+                "duration_s": 0.1, "attempts": 1, "cached": False,
+                "engine": engine, "audits": {"backend": audit},
+                "claim": "", "tags": ["table1"], "deps": [],
+            },
+        },
+        "mismatches": [], "violations": [], "engine_totals": engine,
+        "summary": {
+            "total": 1, "ok": 1, "mismatch": 0, "failed": 0,
+            "timeout": 0, "skipped": 0, "cached": 0, "wall_seconds": 0.1,
+            "audits": {"backend": {"checked": 1, "ok": 1}},
+        },
+    }
+
+
+def test_evidence_baseline_recorded_with_backend_auto_still_loads(
+    tmp_path, capsys
+):
+    base_dir = tmp_path / "base"
+    base_dir.mkdir()
+    (base_dir / "manifest.json").write_text(
+        json.dumps(_manifest_recorded_with_backend_auto())
+    )
+    # the old manifest still renders and gates ...
+    assert main(["evidence", "report", str(base_dir)]) == 0
+    report = capsys.readouterr().out
+    assert "backend ok (2 checks)" in report
+    assert "backend: 1/1 job(s)" in report
+    assert "engine (auto):" in report
+    # ... and still serves as the baseline of a new run
     out_dir = tmp_path / "out"
     code = main([
         "evidence", "run",
-        "--filter", "fig3-chain",
+        "--filter", "t1-cq-rewriting",
         "--jobs", "1",
-        "--timeout", "120",
         "--no-cache",
-        "--backend", "auto",
+        "--baseline", str(base_dir),
         "--out-dir", str(out_dir),
     ])
     assert code == 0
+    assert "vs baseline" in capsys.readouterr().out
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["backend"] == "auto"
-    resolved = [
-        job for job in manifest["jobs"].values()
-        if job["status"] == "ok"
-        and job["audits"]["backend"]["resolutions"]
-    ]
-    assert resolved
-    for job in resolved:
-        for entry in job["audits"]["backend"]["resolutions"]:
-            assert entry["backend"] in ("interpreted", "columnar")
-            assert entry["threshold"] == 4096
+    assert manifest["backend"] == "interpreted"
+    assert manifest["baseline"]["backend"] == "auto"
+    assert manifest["baseline"]["code_fingerprint"] == "old"
+    assert not any(
+        name.startswith(_AUTO_PICKS) for name in manifest["engine_totals"]
+    )

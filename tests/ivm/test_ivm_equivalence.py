@@ -74,7 +74,7 @@ _base = st.lists(_edge, max_size=6).map(
         ("interpreted", False),
         ("interpreted", True),
         ("columnar", False),
-        ("auto", True),
+        ("columnar", True),
     ],
 )
 @given(program_index=st.integers(0, len(PROGRAMS) - 1),

@@ -93,6 +93,10 @@ def test_protocol_errors_are_in_band_not_fatal():
             ({"op": "create", "session": "s", "program": "Goal(x <-"},
              ""),  # parse error text varies; ok flag matters
             ("not a dict", "JSON object"),
+            ({"op": "create", "session": "s", "program": "T(x) <- E(x).",
+              "backend": "auto"}, "unknown backend 'auto'"),
+            ({"op": "create", "session": "s", "program": "T(x) <- E(x).",
+              "backend": "warp-drive"}, "unknown backend"),
         ]:
             response = await service.handle(request)
             assert response["ok"] is False
@@ -208,6 +212,21 @@ def test_cache_eviction_is_lru():
     assert cached is False
 
 
+def test_program_cache_key_is_the_text_digest_and_optimize_flag():
+    import hashlib
+
+    text = "T(x,y) <- E(x,y)."
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    cache = ProgramCache()
+    assert cache.key(text, False) == (digest, False)
+    assert cache.key(text, True) == (digest, True)
+    # optimized and plain compilations of one text are separate entries
+    cache.fetch(text, False)
+    _, _, cached = cache.fetch(text, True)
+    assert cached is False
+    assert len(cache) == 2
+
+
 # ---------------------------------------------------------------------------
 # the socket layer
 # ---------------------------------------------------------------------------
@@ -318,8 +337,9 @@ def test_once_cli_entry_point(capsys):
 
 
 def test_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        ServeService(backend="warp-drive")
+    for name in ("warp-drive", "auto"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            ServeService(backend=name)
 
 
 def test_create_reports_the_engine_the_view_runs():
