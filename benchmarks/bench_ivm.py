@@ -82,7 +82,7 @@ def _run(base_edges, updates):
             view.apply(retracts=[fact], stats=stats)
         maintain += time.perf_counter() - start
         start = time.perf_counter()
-        oracle = fixpoint(REACH, view.base, optimize=False)
+        oracle = fixpoint(REACH, view.base)
         recompute += time.perf_counter() - start
         assert view.state == oracle, f"maintenance diverged at {op}{fact}"
     return view, maintain, recompute, stats

@@ -76,4 +76,4 @@ def engine_stats(benchmark):
     """
     with _stats.collecting() as stats:
         yield stats
-    benchmark.extra_info["engine"] = stats.as_dict()
+    benchmark.extra_info["engine"] = stats.to_dict()

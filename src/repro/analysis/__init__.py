@@ -63,8 +63,6 @@ from repro.analysis.optimize import (
     magic_opportunities,
     optimize_program,
     optimized_query_program,
-    reorder_joins,
-    syntactic_fixpoint_program,
 )
 from repro.analysis.sarif import sarif_report
 from repro.analysis.shard import (
@@ -134,14 +132,12 @@ __all__ = [
     "magic_opportunities",
     "optimize_program",
     "optimized_query_program",
-    "reorder_joins",
     "sarif_report",
     "ShardGuard",
     "ShardReport",
     "ShardStratumPlan",
     "shard_of",
     "shard_report",
-    "syntactic_fixpoint_program",
     "BoundednessReport",
     "Capability",
     "RuleWitness",

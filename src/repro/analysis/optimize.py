@@ -21,9 +21,7 @@ this package already performs:
   instead of being computed in full and filtered post-hoc;
 * ``join_order`` — static greedy join reordering of each rule body from
   a per-atom selectivity estimate (EDB cardinality when an instance is
-  supplied, bound-variable/constant counts always), so the engine's
-  ``ordering="static"`` path starts from a good plan without runtime
-  replanning.
+  supplied, bound-variable/constant counts always).
 
 Equivalence contract: every pass preserves the *goal relation on
 instances over the extensional schema* (the only instances the decision
@@ -31,8 +29,9 @@ procedures and the evidence harness ever evaluate on).  ``dead_code``
 and ``join_order`` are equivalences on arbitrary instances; the
 renaming passes (``specialize``/``inline``/``magic_sets``) are not
 semantics-preserving on instances that smuggle in facts for intensional
-predicates, which is why :meth:`repro.core.datalog.DatalogQuery.evaluate`
-guards the optimized path against such instances.
+predicates, so evaluate the optimized program on extensional instances
+only.  Nothing runs the optimizer implicitly: callers apply it to a
+program and evaluate the result.
 
 With ``certify=True``, :func:`optimize_program` emits one
 ``program_equivalence`` claim per changed pass — independently
@@ -53,11 +52,7 @@ from repro.core.atoms import Atom
 from repro.core.cq import CanonConst
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.instance import Instance
-from repro.core.optimize import (
-    drop_subsumed_rules,
-    minimize_rule_bodies,
-    rule_subsumes,
-)
+from repro.core.optimize import rule_subsumes
 from repro.core.parser import Span
 from repro.core.terms import Variable
 
@@ -991,7 +986,7 @@ def optimize_program(
 
 
 # ---------------------------------------------------------------------------
-# cached entry points for the evaluation engine
+# cached entry point for goal-directed evaluation
 # ---------------------------------------------------------------------------
 @lru_cache(maxsize=256)
 def optimized_query_program(
@@ -999,51 +994,9 @@ def optimized_query_program(
 ) -> DatalogProgram:
     """The syntactic pipeline (everything but join reordering), cached.
 
-    Join reordering is applied per call site instead, because it wants
-    the concrete instance's cardinalities.
+    Join reordering is left out because it wants a concrete instance's
+    cardinalities: :func:`optimize_program` runs it given one.
     """
     return optimize_program(
         program, goal, ("dead_code", "specialize", "inline", "magic_sets")
     ).optimized
-
-
-@lru_cache(maxsize=256)
-def optimized_provenance(
-    program: DatalogProgram, goal: str
-) -> tuple[DatalogProgram, tuple[RuleProvenance, ...]]:
-    """Like :func:`optimized_query_program` but keeping provenance."""
-    result = optimize_program(
-        program, goal, ("dead_code", "specialize", "inline", "magic_sets")
-    )
-    return result.optimized, result.provenance
-
-
-@lru_cache(maxsize=256)
-def syntactic_fixpoint_program(program: DatalogProgram) -> DatalogProgram:
-    """Goal-free syntactic minimization (safe for any program).
-
-    Without a goal predicate only the universally sound rewrites apply:
-    per-rule body minimization and subsumed-rule removal, both of which
-    preserve every IDB relation on every instance.
-    """
-    return drop_subsumed_rules(minimize_rule_bodies(program))
-
-
-def reorder_joins(
-    program: DatalogProgram, instance: Optional[Instance] = None
-) -> DatalogProgram:
-    """Goal-free static join reordering (safe for any program).
-
-    Body permutation never changes a rule's derivations, so this is the
-    one pass :func:`repro.core.evaluation.fixpoint` may apply without a
-    goal predicate.
-    """
-    sizes, default_size, adom = _planning_inputs(program, instance)
-    rules = []
-    for rule in program.rules:
-        order = _greedy_order(rule.body, sizes, default_size, adom)
-        if order == sorted(order):
-            rules.append(rule)
-        else:
-            rules.append(Rule(rule.head, tuple(rule.body[i] for i in order)))
-    return DatalogProgram(tuple(rules))

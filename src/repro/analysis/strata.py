@@ -32,9 +32,9 @@ BOUND_CAP = 10**15
 #: assumed per-relation EDB size when no instance is supplied
 DEFAULT_EDB_SIZE = 16
 
-#: the static analyses and the ambient optimizer step aside above this
-#: many rules: generated mega-programs (the Thm 8 witness program has
-#: ~2k rules) pay more for the analysis than for the run it plans.
+#: the static analyses step aside above this many rules: generated
+#: mega-programs (the Thm 8 witness program has ~2k rules) pay more for
+#: the analysis than for the run it plans.
 #: Explicit ``optimize_program`` calls are not limited: the caller asked.
 ANALYSIS_RULE_LIMIT = 200
 

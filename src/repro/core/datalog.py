@@ -231,7 +231,6 @@ class DatalogQuery:
     def evaluate(
         self,
         instance: Instance,
-        optimize: Optional[bool] = None,
         backend: Optional[str] = None,
     ) -> set[tuple]:
         """``Output(Q, I)``: the goal tuples of the least fixpoint.
@@ -240,60 +239,15 @@ class DatalogQuery:
         are pruned first (they cannot contribute goal tuples), then the
         SCC-stratified engine runs the rest dependencies-first.
         ``backend`` selects the evaluation engine (``None`` → the run
-        mode's, see :func:`repro.core.runmode.current`).
-
-        With ``optimize=True`` (or an optimizing run mode) the
-        full :mod:`repro.analysis.optimize` pipeline runs first — dead
-        code, specialization, inlining and magic sets — which is only
-        goal-preserving on *extensional* instances; when ``instance``
-        supplies facts for an intensional predicate we fall back to the
-        plain goal-directed path and record the retreat on the active
-        collector's ``optimize_fallbacks`` counter, so callers
-        comparing optimized/plain runs can tell the optimizer was
-        skipped rather than ineffective.
+        mode's, see :func:`repro.core.runmode.current`).  To evaluate
+        through the certified optimizer, build the query over
+        :func:`repro.analysis.optimize.optimize_program`'s output.
         """
-        from repro.core import stats as _stats
         from repro.core.evaluation import fixpoint, goal_directed_program
-        from repro.core.runmode import current
 
-        if optimize is None:
-            optimize = current().optimize
-        if optimize and (
-            instance.predicates() & self.program.idb_predicates()
-        ):
-            # IDB facts in the input make magic sets/inlining unsound;
-            # retreat to the plain path, but *say so*.
-            optimize = False
-            collector = _stats.active()
-            if collector is not None:
-                collector.optimize_fallbacks += 1
-        if optimize:
-            from repro.analysis.optimize import optimized_query_program
-            from repro.analysis.strata import ANALYSIS_RULE_LIMIT
-
-            if len(self.program.rules) > ANALYSIS_RULE_LIMIT:
-                program = goal_directed_program(self.program, self.goal)
-                return set(
-                    fixpoint(
-                        program, instance, optimize=False, backend=backend
-                    ).tuples(self.goal)
-                )
-            from repro.core.stats import suspended
-
-            # analysis-side subsumption searches stay out of the
-            # caller's evaluation counters
-            with suspended():
-                program = optimized_query_program(self.program, self.goal)
-            return set(
-                fixpoint(
-                    program, instance, optimize=True, backend=backend
-                ).tuples(self.goal)
-            )
         program = goal_directed_program(self.program, self.goal)
         return set(
-            fixpoint(
-                program, instance, optimize=False, backend=backend
-            ).tuples(self.goal)
+            fixpoint(program, instance, backend=backend).tuples(self.goal)
         )
 
     def holds(self, instance: Instance, answer: Sequence = ()) -> bool:

@@ -18,8 +18,8 @@ Two engines (:data:`repro.core.runmode.BACKENDS`) run both strategies:
 ``interpreted`` (this module: per-tuple backtracking homomorphism
 search) and ``columnar`` (:mod:`repro.core.columnar`: hash-join plans
 over column arrays).  :func:`engine_fixpoint` is the one dispatch
-between them; :func:`fixpoint` adds the run mode, the optimizer, the
-sharded executor and the audits around it.
+between them; :func:`fixpoint` adds the run mode, the sharded
+executor and the audits around it.
 
 Semi-naive evaluation resolves each delta rule's join plan **once** per
 fixpoint call and replays it on every subsequent round (the plan is
@@ -76,9 +76,7 @@ def check_strategy(name: str) -> str:
     return name
 
 
-def _rule_derivations(
-    rule: Rule, instance: Instance, ordering: str = "auto"
-) -> Iterator[Atom]:
+def _rule_derivations(rule: Rule, instance: Instance) -> Iterator[Atom]:
     """All head facts derivable from ``rule`` against ``instance``."""
     if not rule.body:
         yield rule.head
@@ -98,7 +96,7 @@ def _rule_derivations(
             if bound is not None:
                 yield rule.head.substitute(bound)
         return
-    for hom in homomorphisms(rule.body, instance, ordering=ordering):
+    for hom in homomorphisms(rule.body, instance):
         yield rule.head.substitute(hom)
 
 
@@ -106,7 +104,6 @@ def naive_fixpoint(
     program: DatalogProgram,
     instance: Instance,
     stats: Optional[EngineStats] = None,
-    ordering: str = "auto",
 ) -> Instance:
     """Round-based naive evaluation (the correctness oracle)."""
     with _stats.maybe_collecting(stats):
@@ -119,7 +116,7 @@ def naive_fixpoint(
             derived = [
                 fact
                 for rule in program.rules
-                for fact in _rule_derivations(rule, state, ordering)
+                for fact in _rule_derivations(rule, state)
             ]
             changed = False
             for fact in derived:
@@ -143,14 +140,11 @@ class _PlanCache:
     selectivities representative.
     """
 
-    __slots__ = ("_plans", "_stats", "_default")
+    __slots__ = ("_plans", "_stats")
 
-    def __init__(
-        self, collector: Optional[EngineStats], default: str = "auto"
-    ) -> None:
+    def __init__(self, collector: Optional[EngineStats]) -> None:
         self._plans: dict[tuple[int, int], tuple[list[Atom], str]] = {}
         self._stats = collector
-        self._default = default
 
     def ordering_for(
         self, key: tuple[int, int], atoms: list[Atom], target: Instance
@@ -158,13 +152,8 @@ class _PlanCache:
         """The (ordered atoms, replay ordering) for a cached join."""
         plan = self._plans.get(key)
         if plan is None:
-            if self._default == "static":
-                # the statically planned body order is the plan: replay
-                # it as-is instead of re-planning at runtime
-                plan = (list(atoms), "static")
-            else:
-                ordered, dynamic = resolve_plan(atoms, target, self._default)
-                plan = (ordered, "dynamic" if dynamic else "static")
+            ordered, dynamic = resolve_plan(atoms, target)
+            plan = (ordered, "dynamic" if dynamic else "static")
             self._plans[key] = plan
             if self._stats is not None:
                 self._stats.plan_cache_misses += 1
@@ -216,7 +205,6 @@ def _seminaive_in_place(
     delta_patterns: _Patterns,
     collector: Optional[EngineStats],
     prelude: Sequence[Rule] = (),
-    ordering: str = "auto",
 ) -> None:
     """Run the given rules to fixpoint, mutating ``state`` in place.
 
@@ -235,7 +223,7 @@ def _seminaive_in_place(
     if collector is not None:
         collector.fixpoint_rounds += 1
     for rule in prelude:
-        derived = list(_rule_derivations(rule, state, ordering))
+        derived = list(_rule_derivations(rule, state))
         added = 0
         for fact in derived:
             if state.add(fact):
@@ -243,7 +231,7 @@ def _seminaive_in_place(
         if collector is not None:
             collector.facts_derived += added
     for rule in rules:
-        for fact in _rule_derivations(rule, state, ordering):
+        for fact in _rule_derivations(rule, state):
             if fact not in state:
                 delta.add(fact)
     state.update(delta.facts())
@@ -342,7 +330,6 @@ def _single_pass(
     rules: Sequence[Rule],
     state: Instance,
     collector: Optional[EngineStats],
-    ordering: str = "auto",
 ) -> None:
     """Fire each rule exactly once, in order, applying facts eagerly.
 
@@ -354,7 +341,7 @@ def _single_pass(
     if collector is not None:
         collector.fixpoint_rounds += 1
     for rule in rules:
-        derived = list(_rule_derivations(rule, state, ordering))
+        derived = list(_rule_derivations(rule, state))
         added = 0
         for fact in derived:
             if state.add(fact):
@@ -367,7 +354,6 @@ def stratified_fixpoint(
     program: DatalogProgram,
     instance: Instance,
     stats: Optional[EngineStats] = None,
-    ordering: str = "auto",
 ) -> Instance:
     """SCC-stratified semi-naive evaluation (the default strategy).
 
@@ -382,7 +368,7 @@ def stratified_fixpoint(
     with _stats.maybe_collecting(stats):
         collector = _stats.active()
         state = instance.copy()
-        plans = _PlanCache(collector, ordering)
+        plans = _PlanCache(collector)
         delta_patterns = _program_delta_patterns(program)
         for prelude, rules, keys, tracked in _execution_plan(program):
             if rules:
@@ -395,10 +381,9 @@ def stratified_fixpoint(
                     delta_patterns,
                     collector,
                     prelude=prelude,
-                    ordering=ordering,
                 )
             elif prelude:
-                _single_pass(prelude, state, collector, ordering)
+                _single_pass(prelude, state, collector)
         return state
 
 
@@ -425,14 +410,11 @@ def engine_fixpoint(
     backend: str,
     strategy: str,
     stats: Optional[EngineStats] = None,
-    ordering: str = "auto",
 ) -> Instance:
     """One engine run, ``backend`` × ``strategy``: the single dispatch
     behind :func:`fixpoint` and the shard workers.
 
-    No run-mode lookups, no optimizer, no audits.  ``ordering`` is the
-    interpreted engine's join-ordering hint; the columnar engine plans
-    its own joins and ignores it.
+    No run-mode lookups, no audits.
     """
     check_strategy(strategy)
     if check_backend(backend) == "columnar":
@@ -440,7 +422,7 @@ def engine_fixpoint(
 
         return columnar_fixpoint(program, instance, strategy, stats)
     engine = naive_fixpoint if strategy == "naive" else stratified_fixpoint
-    return engine(program, instance, stats, ordering)
+    return engine(program, instance, stats)
 
 
 def fixpoint(
@@ -448,7 +430,6 @@ def fixpoint(
     instance: Instance,
     strategy: str = "stratified",
     stats: Optional[EngineStats] = None,
-    optimize: Optional[bool] = None,
     backend: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> Instance:
@@ -458,20 +439,10 @@ def fixpoint(
     come from the calling context's :func:`repro.core.runmode.current`
     run mode.
 
-    ``optimize=True`` first applies the *universally
-    sound* optimizer passes — body minimization, subsumed-rule removal
-    and static join reordering against this instance's cardinalities
-    (:mod:`repro.analysis.optimize`) — and then evaluates with
-    ``ordering="static"``, replaying the planned body orders instead of
-    replanning joins at runtime.  These passes preserve every IDB
-    relation on every instance; the goal-directed passes (magic sets,
-    inlining) need a goal predicate and live in
-    :meth:`repro.core.datalog.DatalogQuery.evaluate`.
-
     ``backend`` names the evaluation engine, one of
-    :data:`repro.core.runmode.BACKENDS`.  The optimizer passes are
-    backend-independent program transforms, so they compose with both
-    engines; only the ``ordering`` hint is interpreted-specific.
+    :data:`repro.core.runmode.BACKENDS`.  The certified optimizer is not
+    applied here: it is a program transformation the caller runs
+    explicitly (:func:`repro.analysis.optimize.optimize_program`).
 
     ``shards=N`` evaluates through the sharded parallel executor
     planned by :func:`repro.analysis.shard.shard_report` — hash-
@@ -481,30 +452,9 @@ def fixpoint(
     sharded run mode is safe to leave on.
 
     Every guard installed by the run mode audits the result
-    (:meth:`repro.core.runmode.Guard.on_fixpoint`) with the program
-    *actually evaluated*.
+    (:meth:`repro.core.runmode.Guard.on_fixpoint`).
     """
     mode = current()
-    if optimize is None:
-        optimize = mode.optimize
-    ordering = "auto"
-    if optimize:
-        from repro.analysis.optimize import (
-            reorder_joins,
-            syntactic_fixpoint_program,
-        )
-        from repro.analysis.strata import ANALYSIS_RULE_LIMIT
-
-        if len(program.rules) <= ANALYSIS_RULE_LIMIT:
-            from repro.core.stats import suspended
-
-            # the optimizer's subsumption checks are analysis, not
-            # evaluation: keep them out of the caller's counters
-            with suspended():
-                program = reorder_joins(
-                    syntactic_fixpoint_program(program), instance
-                )
-            ordering = "static"
     if backend is None:
         backend = mode.backend
     if shards is None:
@@ -514,12 +464,10 @@ def fixpoint(
 
         result = sharded_fixpoint(
             program, instance, shards, strategy=strategy, stats=stats,
-            ordering=ordering, backend=backend,
+            backend=backend,
         )
     else:
-        result = engine_fixpoint(
-            program, instance, backend, strategy, stats, ordering
-        )
+        result = engine_fixpoint(program, instance, backend, strategy, stats)
     for guard in active_guards():
         guard.on_fixpoint(program, instance, result, stats)
     return result

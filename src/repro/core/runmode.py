@@ -1,13 +1,12 @@
 """The run mode and the run-time audit protocol, carried per context.
 
-One frozen :class:`RunMode` says *how* the engine evaluates: whether
-the certified optimizer runs first, which backend evaluates, how many
-worker processes a large fixpoint is sharded across, and which audits
-(:class:`Guard` subclasses, by registered name) check the run against
-the static analyses.  It lives in a :class:`contextvars.ContextVar`, so
-every thread and every ``asyncio`` task sees its own mode: callers
-change it for a block with :func:`run_mode` and read it with
-:func:`current`::
+One frozen :class:`RunMode` says *how* the engine evaluates: which
+backend evaluates, how many worker processes a large fixpoint is sharded
+across, and which audits (:class:`Guard` subclasses, by registered name)
+check the run against the static analyses.  It lives in a
+:class:`contextvars.ContextVar`, so every thread and every ``asyncio``
+task sees its own mode: callers change it for a block with
+:func:`run_mode` and read it with :func:`current`::
 
     with run_mode(backend="columnar", checks=("cost",)):
         fixpoint(program, instance)      # columnar, cost-audited
@@ -66,14 +65,12 @@ class RunMode:
     """Evaluation settings that change what a run measures, not what
     it computes (every mode yields the same fixpoints)."""
 
-    optimize: bool = False
     backend: str = "interpreted"
     shards: int = 0
     checks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         # canonical form: equal modes compare, hash and key caches equal
-        object.__setattr__(self, "optimize", bool(self.optimize))
         object.__setattr__(self, "shards", max(0, int(self.shards)))
         object.__setattr__(self, "checks", tuple(sorted(set(self.checks))))
 
@@ -81,7 +78,6 @@ class RunMode:
         """JSON-ready form (cache keys); ``run_mode(**as_dict())``
         re-enters the mode."""
         return {
-            "optimize": self.optimize,
             "backend": self.backend,
             "shards": self.shards,
             "checks": list(self.checks),

@@ -87,8 +87,7 @@ def _worker_loop(conn: Any) -> None:
                         tuple(row) for row in rows
                     )
             elif op == "fixpoint":
-                _, rules, extra, return_preds, backend, strategy, \
-                    ordering = message
+                _, rules, extra, return_preds, backend, strategy = message
                 merged = {
                     pred: list(rows) for pred, rows in relations.items()
                 }
@@ -103,7 +102,6 @@ def _worker_loop(conn: Any) -> None:
                     backend,
                     strategy,
                     stats,
-                    ordering,
                 )
                 payload = {
                     pred: sorted(result.tuples(pred), key=repr)
@@ -237,7 +235,6 @@ def sharded_fixpoint(
     shards: int,
     strategy: str = "stratified",
     stats: Optional[EngineStats] = None,
-    ordering: str = "auto",
     backend: Optional[str] = None,
 ) -> Instance:
     """``FPEval(Π, I)`` across ``shards`` worker processes.
@@ -263,9 +260,7 @@ def sharded_fixpoint(
     )
     check_strategy(strategy)
     if shards <= 1 or not program.rules or len(instance) < SHARD_MIN_FACTS:
-        return engine_fixpoint(
-            program, instance, backend, strategy, stats, ordering
-        )
+        return engine_fixpoint(program, instance, backend, strategy, stats)
 
     collector = stats if stats is not None else _stats.active()
     collected = EngineStats()
@@ -304,7 +299,6 @@ def sharded_fixpoint(
                     backend,
                     strategy,
                     collected,
-                    ordering,
                 )
                 for pred in scc.predicates:
                     for row in local.tuples(pred):
@@ -330,7 +324,7 @@ def sharded_fixpoint(
                     pool.send(worker, ("extend", partitions[worker]))
                     pool.send(worker, (
                         "fixpoint", tuple(rules), {}, return_preds,
-                        backend, strategy, ordering,
+                        backend, strategy,
                     ))
                 per_worker: dict[int, list[tuple[str, tuple]]] = {}
                 for worker in range(shards):
@@ -361,7 +355,7 @@ def sharded_fixpoint(
                 pool.send(worker, (
                     "fixpoint", share, {},
                     sorted({rule.head.pred for rule in share}),
-                    backend, strategy, ordering,
+                    backend, strategy,
                 ))
                 active_workers.append(worker)
             fresh: dict[str, set[tuple[Any, ...]]] = {}
@@ -398,7 +392,7 @@ def sharded_fixpoint(
                         continue
                     pool.send(worker, (
                         "fixpoint", tuple(delta_program), slices[worker],
-                        out_preds, backend, strategy, ordering,
+                        out_preds, backend, strategy,
                     ))
                     round_workers.append(worker)
                 fresh = {}

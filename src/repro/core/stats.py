@@ -39,7 +39,6 @@ _SUMMED_FIELDS = frozenset({
     "facts_derived",
     "plan_cache_hits",
     "plan_cache_misses",
-    "optimize_fallbacks",
     "join_build_rows",
     "join_probe_rows",
     "join_output_rows",
@@ -77,7 +76,6 @@ class EngineStats:
     facts_derived: int = 0        # new facts added by fixpoint rounds
     plan_cache_hits: int = 0      # join plans reused across rounds
     plan_cache_misses: int = 0    # join plans resolved fresh
-    optimize_fallbacks: int = 0   # optimized evaluate() retreats taken
     join_build_rows: int = 0      # rows hashed into build tables (columnar)
     join_probe_rows: int = 0      # batch rows probed against tables (columnar)
     join_output_rows: int = 0     # join matches materialized (columnar)
@@ -155,9 +153,6 @@ class EngineStats:
             out[f.name] = dict(value) if isinstance(value, dict) else value
         return out
 
-    # historical name, kept for benchmark extra_info consumers
-    as_dict = to_dict
-
     @classmethod
     def from_dict(
         cls, data: dict, *, allow_unknown: bool = False
@@ -199,7 +194,6 @@ class EngineStats:
             ("facts derived", self.facts_derived),
             ("join-plan cache hits", self.plan_cache_hits),
             ("join-plan cache misses", self.plan_cache_misses),
-            ("optimize fallbacks", self.optimize_fallbacks),
             ("join build rows", self.join_build_rows),
             ("join probe rows", self.join_probe_rows),
             ("join output rows", self.join_output_rows),

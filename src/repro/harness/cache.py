@@ -9,9 +9,9 @@ A job's cache key is a SHA-256 over
   job function (test jobs live outside the package), and
 * the *run mode* (:class:`repro.core.runmode.RunMode`): the
   evaluation settings that change what the workers measure without
-  changing any source — optimizer, backend, shard count and enabled
-  audits.  The mode is part of the hashed payload, not a salt appended
-  to the fingerprint, so modes never collide and the fingerprint stays
+  changing any source — backend, shard count and enabled audits.  The
+  mode is part of the hashed payload, not a salt appended to the
+  fingerprint, so modes never collide and the fingerprint stays
   meaningful in manifests.
 
 So a re-run after any library edit recomputes everything, while a

@@ -58,7 +58,6 @@ def cmd_evidence_run(args: argparse.Namespace) -> int:
         print(f"no jobs match filter {args.filter!r}", file=sys.stderr)
         return 2
     mode = RunMode(
-        optimize=getattr(args, "optimize", False),
         backend=getattr(args, "backend", "interpreted"),
         shards=getattr(args, "shards", 0) or 0,
         checks=tuple(getattr(args, "checks", None) or ()),
@@ -213,12 +212,6 @@ def add_evidence_parser(sub: argparse._SubParsersAction) -> None:
         "--no-schedule", action="store_true",
         help="keep registration order instead of the cost-model "
         "schedule (predicted-heaviest ready job first)",
-    )
-    erun.add_argument(
-        "--optimize", action="store_true",
-        help="evaluate every job through the certified optimizer "
-        "(repro.analysis.optimize); part of the cache's run-mode key, "
-        "so optimized and plain runs never share entries",
     )
     erun.add_argument(
         "--backend", choices=BACKENDS, default="interpreted",

@@ -119,9 +119,10 @@ def build_manifest(
     certificate to validate.
 
     ``mode`` is the :class:`~repro.core.runmode.RunMode` the jobs ran
-    under; its ``optimize``, ``backend``, ``shards`` and ``checks`` are
-    recorded at the top level.  Every job entry carries the ``audits``
-    its guards shipped (:meth:`~repro.core.runmode.Guard.summary` by
+    under; its ``backend``, ``shards`` and ``checks`` are recorded at
+    the top level (older manifests may also carry ``optimize``; readers
+    ignore it).  Every job entry carries the ``audits`` its guards
+    shipped (:meth:`~repro.core.runmode.Guard.summary` by
     guard name); ``summary.audits`` tallies, per audit, the jobs that
     shipped a summary (``checked``) and those without violations
     (``ok``), and the top-level ``violations`` list holds every
@@ -131,8 +132,8 @@ def build_manifest(
     do, the summary gains ``ivm_jobs`` and ``ivm_rounds`` totals.
     ``baseline`` is a previously written manifest to diff against: the
     new manifest gains a ``baseline`` block with per-counter engine
-    deltas (current − baseline), the before/after evidence for the
-    optimizer's or backend's effect on the same jobs.
+    deltas (current − baseline), the before/after evidence for a
+    backend's or a code change's effect on the same jobs.
     """
     engine_totals = EngineStats()
     job_entries = {}
@@ -220,7 +221,6 @@ def build_manifest(
         "workers": workers,
         "default_timeout_s": default_timeout,
         "cache_used": cache_used,
-        "optimize": mode.optimize,
         "backend": mode.backend,
         "shards": mode.shards,
         "checks": list(mode.checks),
@@ -235,7 +235,6 @@ def build_manifest(
         current = engine_totals.to_dict()
         manifest["baseline"] = {
             "code_fingerprint": baseline.get("code_fingerprint", ""),
-            "optimize": bool(baseline.get("optimize", False)),
             "backend": baseline.get("backend", "interpreted"),
             "engine_delta": {
                 name: current.get(name, 0) - base_engine.get(name, 0)
@@ -359,8 +358,6 @@ def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
         backend = manifest.get("backend", "interpreted")
         if backend != "interpreted":
             tags.append(backend)
-        if manifest.get("optimize"):
-            tags.append("optimized")
         tag_text = f" ({', '.join(tags)})" if tags else ""
         parts = [
             f"{engine['hom_calls']} hom calls",

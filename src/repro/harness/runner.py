@@ -31,6 +31,11 @@ from repro.harness.job import Job, JobResult, JobStatus
 #: scheduler poll interval (seconds) — cheap, bounds kill latency
 _TICK = 0.02
 
+#: worker start method: fork where the platform has it, else spawn
+START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
 EventSink = Callable[[dict], None]
 
 
@@ -41,8 +46,6 @@ class RunnerConfig:
     workers: int = 4
     default_timeout: float = 120.0    # seconds per job attempt
     retry_backoff: float = 0.25       # seconds * attempt number
-    retry_timeouts: bool = False      # a hang usually hangs again
-    start_method: Optional[str] = None  # None -> fork if available
     mode: RunMode = RunMode()         # how every job evaluates/audits
 
 
@@ -60,9 +63,9 @@ def _worker(
 
     The job runs under ``mode`` (:func:`repro.core.runmode.run_mode`),
     so every ``fixpoint``/``evaluate`` call inside it picks up the
-    optimizer flag, backend and shard count without a signature
-    change, and every guard the mode enables audits the job; their
-    summaries ship back as the result's ``audits`` dict.
+    backend and shard count without a signature change, and every
+    guard the mode enables audits the job; their summaries ship back as
+    the result's ``audits`` dict.
     """
     try:
         job_fn = Job(
@@ -168,14 +171,7 @@ def run_jobs(
     config = config or RunnerConfig()
     emit = events or _NullSink()
 
-    method = config.start_method
-    if method is None:
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-    ctx = multiprocessing.get_context(method)
+    ctx = multiprocessing.get_context(START_METHOD)
 
     dependents: dict[str, list[str]] = {job.name: [] for job in jobs}
     for job in jobs:
@@ -265,11 +261,8 @@ def run_jobs(
         entry: _Running, status: JobStatus, error: Optional[str]
     ) -> None:
         job = entry.job
-        retryable = (
-            status is JobStatus.FAILED
-            or (status is JobStatus.TIMEOUT and config.retry_timeouts)
-        )
-        if retryable and entry.attempt <= job.retries:
+        # only crashes retry: a hang usually hangs again
+        if status is JobStatus.FAILED and entry.attempt <= job.retries:
             delay = config.retry_backoff * entry.attempt
             pending[job.name] = _Pending(
                 job, attempt=entry.attempt + 1,
@@ -310,7 +303,7 @@ def run_jobs(
         "event": "run_start",
         "jobs": len(jobs),
         "workers": config.workers,
-        "start_method": method,
+        "start_method": START_METHOD,
         "cache": cache is not None,
     })
 

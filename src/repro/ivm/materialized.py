@@ -147,18 +147,9 @@ def _mixed_homomorphisms(
 class MaterializedView:
     """A live ``FPEval(Π, I)`` maintained under base-fact updates.
 
-    ``optimize=True`` (default: the run mode's, see
-    :func:`repro.core.runmode.current`) runs the universally
-    sound syntactic optimizer passes **once at construction** — they
-    preserve every IDB relation on every instance, so the maintained
-    state stays the fixpoint of the *source* program too, which is what
-    :meth:`certificate` claims.  Instance-specific passes (join
-    reordering, magic sets) are deliberately not applied: the instance
-    keeps changing, and the whole materialization is maintained, not one
-    goal.
-
-    ``backend`` picks the engine for insert propagation (``None`` → the
-    run mode's at construction).
+    The view maintains ``program`` as given; :meth:`certificate` claims
+    its fixpoint.  ``backend`` picks the engine for insert propagation
+    (``None`` → the run mode's at construction).
     """
 
     def __init__(
@@ -166,23 +157,11 @@ class MaterializedView:
         program: DatalogProgram,
         base: Optional[Instance] = None,
         *,
-        optimize: Optional[bool] = None,
         backend: Optional[str] = None,
     ) -> None:
-        self.source_program = program
-        mode = current()
-        if optimize is None:
-            optimize = mode.optimize
-        self.optimize = bool(optimize)
-        if self.optimize:
-            from repro.analysis.optimize import syntactic_fixpoint_program
-
-            if len(program.rules) <= ANALYSIS_RULE_LIMIT:
-                with _stats.suspended():
-                    program = syntactic_fixpoint_program(program)
         self.program = program
         self.backend = check_backend(
-            backend if backend is not None else mode.backend
+            backend if backend is not None else current().backend
         )
         self.base = base.copy() if base is not None else Instance()
         self.rounds = 0
@@ -207,7 +186,7 @@ class MaterializedView:
         # rules instead of paying the DRed protocol
         self._maintain_plan: Optional[MaintainReport] = None
         self._counting_rules: dict[int, tuple[Rule, ...]] = {}
-        self._source_claims: Optional[dict[str, object]] = None
+        self._claims: Optional[dict[str, object]] = None
         if len(program.rules) <= ANALYSIS_RULE_LIMIT:
             with _stats.suspended():
                 self._maintain_plan = maintain_report(program, walk=self.walk)
@@ -226,9 +205,7 @@ class MaterializedView:
     # ------------------------------------------------------------------
     def _initialize(self) -> None:
         """From-scratch fixpoint + derivation counts for counted strata."""
-        self.state = fixpoint(
-            self.program, self.base, optimize=False, backend=self.backend
-        )
+        self.state = fixpoint(self.program, self.base, backend=self.backend)
         counts = self._counts
         counts.clear()
         for scc in self._sccs:
@@ -276,10 +253,7 @@ class MaterializedView:
     def recompute(self) -> Instance:
         """A from-scratch ``FPEval(Π, base)`` (the correctness oracle)."""
         with _stats.suspended():
-            return fixpoint(
-                self.program, self.base, optimize=False,
-                backend="interpreted",
-            )
+            return fixpoint(self.program, self.base, backend="interpreted")
 
     def maintenance_plan(self) -> Optional[MaintainReport]:
         """The static maintainability report this view was planned from
@@ -306,36 +280,27 @@ class MaterializedView:
         return report.total_delta_bound
 
     def _maintain_claims(self) -> Optional[dict[str, object]]:
-        """The source program's maintainability classification.
-
-        Cached: strategy/insert-monotone/counting-safe claims are
-        instance-independent, and the certificate must describe the
-        *source* program (what the independent checker re-derives),
-        not the optimized program this view maintains.
-        """
-        if self._source_claims is None:
-            if len(self.source_program.rules) > ANALYSIS_RULE_LIMIT:
-                return None
-            walk = self.walk if self.source_program is self.program else None
-            with _stats.suspended():
-                report = maintain_report(self.source_program, walk=walk)
-            self._source_claims = report.classification()
-        return self._source_claims
+        """The maintenance plan's classification (what the independent
+        checker re-derives); cached, since the claims are
+        instance-independent."""
+        if self._claims is None and self._maintain_plan is not None:
+            self._claims = self._maintain_plan.classification()
+        return self._claims
 
     def certificate(
         self, meta: Optional[dict[str, object]] = None
     ) -> dict[str, object]:
         """An ``ivm`` certificate: state ≡ from-scratch fixpoint.
 
-        The claim carries the *source* program (pre-optimizer), the
-        current base and the maintained state; the independent checker
-        replays a naive fixpoint of the base and compares.
+        The claim carries the program, the current base and the
+        maintained state; the independent checker replays a naive
+        fixpoint of the base and compares.
         """
         from repro.certify.emit import certificate as _certificate
         from repro.certify.emit import claim_ivm_state
 
         claim = claim_ivm_state(
-            self.source_program, self.base, self.state,
+            self.program, self.base, self.state,
             maintain=self._maintain_claims(),
         )
         merged: dict[str, object] = {

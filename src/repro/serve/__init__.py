@@ -2,11 +2,11 @@
 
 ``repro serve`` keeps :class:`repro.ivm.MaterializedView` objects warm
 across requests: each *session* owns one view, updates are coalesced
-into single maintenance rounds, and compiled-and-optimized programs are
-cached across sessions keyed on content-addressed fingerprints.  The
-protocol is JSON lines over a TCP socket (stdlib ``asyncio`` only);
-``repro serve --once`` replays a scripted session from a JSON file
-without opening a socket, which is how CI smokes the service.
+into single maintenance rounds, and parsed programs are cached across
+sessions keyed on the hash of their text.  The protocol is JSON lines
+over a TCP socket (stdlib ``asyncio`` only); ``repro serve --once``
+replays a scripted session from a JSON file without opening a socket,
+which is how CI smokes the service.
 """
 
 from repro.serve.service import ProgramCache, ReproServer, ServeService, Session

@@ -17,7 +17,7 @@ import argparse
 import asyncio
 import json
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.runmode import BACKENDS
 from repro.serve.service import ReproServer, ServeService
@@ -45,10 +45,6 @@ def add_serve_parser(sub: Any) -> None:
         "verdict to every maintenance round",
     )
     serve.add_argument(
-        "--optimize", action="store_true",
-        help="run new sessions' programs through the certified optimizer",
-    )
-    serve.add_argument(
         "--backend", choices=BACKENDS, default=None,
         help="default evaluation backend for new sessions",
     )
@@ -67,7 +63,6 @@ def add_serve_parser(sub: Any) -> None:
 
 def _service(args: argparse.Namespace) -> ServeService:
     return ServeService(
-        optimize=bool(args.optimize),
         backend=args.backend,
         certify=bool(args.certify),
         max_delta=args.max_delta,
@@ -86,22 +81,9 @@ def load_script(path: Path) -> list[dict[str, Any]]:
     return data
 
 
-def run_script(
-    path: Path,
-    *,
-    optimize: bool = False,
-    backend: Optional[str] = None,
-    certify: bool = False,
-    max_delta: Optional[int] = None,
-) -> int:
-    """Drive a service through a scripted session; 0 iff all ok."""
+def run_script(path: Path, service: ServeService) -> int:
+    """Drive ``service`` through a scripted session; 0 iff all ok."""
     requests = load_script(path)
-    service = ServeService(
-        optimize=optimize,
-        backend=backend,
-        certify=certify,
-        max_delta=max_delta,
-    )
 
     async def _drive() -> list[dict[str, Any]]:
         return [await service.handle(request) for request in requests]
@@ -142,13 +124,7 @@ async def _serve_socket(args: argparse.Namespace) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     if args.once is not None:
-        return run_script(
-            Path(args.once),
-            optimize=bool(args.optimize),
-            backend=args.backend,
-            certify=bool(args.certify),
-            max_delta=args.max_delta,
-        )
+        return run_script(Path(args.once), _service(args))
     try:
         asyncio.run(_serve_socket(args))
     except KeyboardInterrupt:

@@ -31,9 +31,11 @@ rounds would interleave rather than overlap, and the lock keeps
 per-round latency predictable and gives shutdown a single point at
 which to drain in-flight maintenance.
 
-Compiled programs are cached across sessions in :class:`ProgramCache`,
-keyed on the hash of the program text and the optimize flag.  A cache
-hit skips both parsing and the certified syntactic optimizer.
+Parsed programs are cached across sessions in :class:`ProgramCache`,
+keyed on the hash of the program text.  A cache hit skips parsing.  The
+service evaluates programs as sent: to serve an optimized program, run
+it through ``repro optimize`` first and create the session with the
+output.
 
 When a session is created with ``certify`` (or the service default is
 on), every maintenance round's response carries an ``ivm_state``
@@ -52,7 +54,6 @@ from collections import OrderedDict
 from typing import Any, Optional
 
 from repro.core import parse_instance, parse_program
-from repro.core import stats as _stats
 from repro.core.atoms import Fact
 from repro.core.datalog import DatalogProgram
 from repro.core.instance import Instance
@@ -62,7 +63,8 @@ from repro.core.stats import EngineStats
 from repro.ivm import MaterializedView
 
 #: bumped when the request/response vocabulary changes incompatibly
-PROTOCOL = 1
+#: (2: ``create`` takes no ``optimize`` and its reply drops the key)
+PROTOCOL = 2
 
 OPS = (
     "ping", "create", "insert", "retract", "update",
@@ -78,55 +80,40 @@ class ProtocolError(ValueError):
 # program cache
 # ---------------------------------------------------------------------------
 class ProgramCache:
-    """LRU of compiled (and optionally optimized) programs.
+    """LRU of parsed programs.
 
-    Keys are ``(sha256(program text), optimize)``: content-addressed on
-    the program, so an edit to it changes the key.  The cache lives in
+    Keys are ``sha256(program text)``: content-addressed on the
+    program, so an edit to it changes the key.  The cache lives in
     process memory, so the engine code it was filled with is the code
-    that reads it.  Values keep the *source* program alongside the
-    maintained one because certificates must claim the pre-optimizer
-    program.
+    that reads it.
     """
 
     def __init__(self, capacity: int = 64) -> None:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
-        self._entries: OrderedDict[
-            tuple[str, bool], tuple[DatalogProgram, DatalogProgram]
-        ] = OrderedDict()
+        self._entries: OrderedDict[str, DatalogProgram] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def key(self, text: str, optimize: bool) -> tuple[str, bool]:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        return (digest, bool(optimize))
+    def key(self, text: str) -> str:
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def fetch(
-        self, text: str, optimize: bool
-    ) -> tuple[DatalogProgram, DatalogProgram, bool]:
-        """``(source, maintained, was_cached)`` for program ``text``."""
-        key = self.key(text, optimize)
-        entry = self._entries.get(key)
-        if entry is not None:
+    def fetch(self, text: str) -> tuple[DatalogProgram, bool]:
+        """``(program, was_cached)`` for program ``text``."""
+        key = self.key(text)
+        program = self._entries.get(key)
+        if program is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry[0], entry[1], True
+            return program, True
         self.misses += 1
-        source = parse_program(text)
-        maintained = source
-        if optimize:
-            from repro.analysis.optimize import syntactic_fixpoint_program
-            from repro.analysis.strata import ANALYSIS_RULE_LIMIT
-
-            if len(source.rules) <= ANALYSIS_RULE_LIMIT:
-                with _stats.suspended():
-                    maintained = syntactic_fixpoint_program(source)
-        self._entries[key] = (source, maintained)
+        program = parse_program(text)
+        self._entries[key] = program
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-        return source, maintained, False
+        return program, False
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +196,6 @@ class ServeService:
     def __init__(
         self,
         *,
-        optimize: bool = False,
         backend: Optional[str] = None,
         certify: bool = False,
         session_limit: int = 64,
@@ -220,7 +206,6 @@ class ServeService:
             check_backend(backend)
         if max_delta is not None and max_delta < 0:
             raise ValueError("max_delta must be non-negative")
-        self.optimize = bool(optimize)
         self.backend = backend
         self.certify = bool(certify)
         #: analysis-driven admission: updates whose predicted delta
@@ -277,13 +262,18 @@ class ServeService:
                 f"session limit reached ({self.session_limit})"
             )
         text = _require_str(request, "program")
-        optimize = bool(request.get("optimize", self.optimize))
+        if request.get("optimize"):
+            raise ProtocolError(
+                "'optimize' is not a session option: run the program "
+                "through `repro optimize` and create the session with "
+                "its output"
+            )
         backend = request.get("backend", self.backend)
         if backend is not None:
             check_backend(backend)
         certify = bool(request.get("certify", self.certify))
 
-        source, maintained, cached = self.cache.fetch(text, optimize)
+        program, cached = self.cache.fetch(text)
         base = Instance()
         instance_text = request.get("instance")
         if instance_text is not None:
@@ -296,24 +286,15 @@ class ServeService:
         # it off-loop, serialized with every other round
         async with self._maintenance:
             view = await asyncio.to_thread(
-                MaterializedView,
-                maintained,
-                base,
-                optimize=False,
-                backend=backend,
+                MaterializedView, program, base, backend=backend
             )
-        # the cache already ran the optimizer; re-point the certificate
-        # subject at the pre-optimizer program
-        view.source_program = source
-        view.optimize = optimize
         session = Session(name, view, certify=certify)
         self.sessions[name] = session
         return {
             "ok": True,
             "session": name,
             "cached_program": cached,
-            "program_sha256": self.cache.key(text, optimize)[1],
-            "optimize": optimize,
+            "program_sha256": self.cache.key(text),
             "backend": view.backend,
             "certify": certify,
             "facts": len(view.state),

@@ -2,12 +2,12 @@
 
 ``--check-maintenance`` is only worth its exit code if the predictions
 in :mod:`repro.analysis.maintain` are *sound*: no maintenance round —
-any update interleaving, any backend, optimizer on or off — may ever
-move more facts than the per-predicate delta bounds predicted, and a
-stratum the analysis proves counting-safe must maintain correctly
-without the DRed machinery.  Hypothesis hunts for a program × base ×
-update-schedule triple that breaks either claim, over the same
-adversarial pool the cost-soundness suite uses.
+any update interleaving, any backend — may ever move more facts than the
+per-predicate delta bounds predicted, and a stratum the analysis proves
+counting-safe must maintain correctly without the DRed machinery.
+Hypothesis hunts for a program × base × update-schedule triple that
+breaks either claim, over the same adversarial pool the cost-soundness
+suite uses.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def test_counting_safe_strata_maintain_correctly_everywhere(
 ):
     """Wherever the analysis proves a stratum counting-safe the view
     maintains it by counting — and the result must still equal the
-    from-scratch fixpoint across backends × optimizer settings."""
+    from-scratch fixpoint on every backend."""
     report = maintain_report(program)
     safe = {
         pred
@@ -111,25 +111,20 @@ def test_counting_safe_strata_maintain_correctly_everywhere(
         for pred in stratum.predicates
     }
     for backend in _BACKENDS:
-        for optimize in (False, True):
-            view = MaterializedView(
-                program, base.copy(), optimize=optimize, backend=backend
+        view = MaterializedView(program, base.copy(), backend=backend)
+        strategies = view.maintenance_strategies()
+        for pred in safe:
+            assert strategies.get(pred) == "counting", (
+                f"{pred} proved counting-safe but maintained by "
+                f"{strategies.get(pred)} [{backend}]"
+                + _context(program, base, schedule)
             )
-            strategies = view.maintenance_strategies()
-            for pred in safe:
-                assert strategies.get(pred) == "counting", (
-                    f"{pred} proved counting-safe but maintained by "
-                    f"{strategies.get(pred)} "
-                    f"[{backend}/optimize={optimize}]"
-                    + _context(program, base, schedule)
-                )
-            for inserts, retracts in schedule:
-                view.apply(inserts=inserts, retracts=retracts)
-                assert view.state == view.recompute(), (
-                    f"counting maintenance diverged "
-                    f"[{backend}/optimize={optimize}]"
-                    + _context(program, base, schedule)
-                )
+        for inserts, retracts in schedule:
+            view.apply(inserts=inserts, retracts=retracts)
+            assert view.state == view.recompute(), (
+                f"counting maintenance diverged [{backend}]"
+                + _context(program, base, schedule)
+            )
 
 
 @given(

@@ -13,8 +13,6 @@ from repro.analysis.optimize import (
     magic_opportunities,
     optimize_program,
     optimized_query_program,
-    reorder_joins,
-    syntactic_fixpoint_program,
 )
 from repro.analysis.strata import ANALYSIS_RULE_LIMIT
 from repro.core.atoms import Atom
@@ -193,21 +191,24 @@ def test_join_order_moves_selective_atom_first():
     }
 
 
-def test_reorder_joins_preserves_every_relation():
+def test_join_order_pass_preserves_every_relation():
     instance = parse_instance(chain(15, 3))
     plain = fixpoint(REACH, instance)
-    reordered = fixpoint(reorder_joins(REACH, instance), instance)
-    assert plain == reordered
+    reordered = optimize_program(
+        REACH, "Goal", ("join_order",), instance=instance
+    ).optimized
+    assert fixpoint(reordered, instance) == plain
 
 
-def test_syntactic_fixpoint_program_drops_subsumed():
+def test_dead_code_drops_subsumed_rule():
     program = parse_program(
         """
         P(x) <- U(x).
         P(x) <- U(x), R(x,y).
         """
     )
-    assert len(syntactic_fixpoint_program(program).rules) == 1
+    result = optimize_program(program, "P", ("dead_code",))
+    assert len(result.optimized.rules) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Property safety net: every optimizer pass preserves the goal relation.
 
 Random safe programs meet random instances; the original and the
-optimized program must agree on the goal relation under all four
-evaluation routes — naive, semi-naive, SCC-stratified, and the
-goal-directed :meth:`DatalogQuery.evaluate` path.  This is the dynamic
+optimized program must agree on the goal relation under every
+evaluation route — naive and SCC-stratified on the interpreted engine,
+stratified on the columnar engine, and the goal-directed
+:meth:`DatalogQuery.evaluate` path of the optimized program on both
+engines (magic-set output included).  This is the dynamic
 counterpart of the ``program_equivalence`` certificates: the checker
 replays specific witness instances, this replays the generator.
 """
@@ -17,8 +19,13 @@ from hypothesis import strategies as st
 from repro.analysis.optimize import PASSES, optimize_program
 from repro.core.atoms import Atom
 from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
-from repro.core.evaluation import naive_fixpoint, stratified_fixpoint
+from repro.core.evaluation import (
+    engine_fixpoint,
+    naive_fixpoint,
+    stratified_fixpoint,
+)
 from repro.core.instance import Instance
+from repro.core.runmode import BACKENDS
 from repro.core.terms import Variable
 
 from tests.conftest import random_instance
@@ -54,16 +61,27 @@ def _random_query(rng: random.Random) -> DatalogQuery:
 
 
 def _goal_rows(program: DatalogProgram, goal: str, instance: Instance):
-    """The goal relation under every fixpoint strategy (must agree)."""
+    """The goal relation under every fixpoint route (must agree)."""
     rows = {
-        strategy: set(fn(program, instance).tuples(goal))
-        for strategy, fn in (
+        route: set(fn(program, instance).tuples(goal))
+        for route, fn in (
             ("naive", naive_fixpoint),
             ("stratified", stratified_fixpoint),
+            ("columnar", lambda p, i: engine_fixpoint(
+                p, i, "columnar", "stratified"
+            )),
         )
     }
-    assert rows["naive"] == rows["stratified"]
+    assert rows["naive"] == rows["stratified"] == rows["columnar"]
     return rows["naive"]
+
+
+def _evaluate_optimized(result, instance: Instance) -> set:
+    """The optimized query's goal-directed answer on both engines."""
+    query = DatalogQuery(result.optimized, result.goal)
+    answers = [query.evaluate(instance, backend=b) for b in BACKENDS]
+    assert all(answer == answers[0] for answer in answers)
+    return answers[0]
 
 
 @pytest.mark.parametrize("pass_name", sorted(PASSES))
@@ -97,8 +115,8 @@ def test_full_pipeline_preserves_goal_relation(seed):
         expected = _goal_rows(query.program, query.goal, instance)
         measured = _goal_rows(result.optimized, result.goal, instance)
         assert measured == expected
-        # the goal-directed evaluate() path with the optimizer enabled
-        assert query.evaluate(instance, optimize=True) == expected
+        # the goal-directed evaluate() path over the optimizer's output
+        assert _evaluate_optimized(result, instance) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -112,4 +130,4 @@ def test_pipeline_equivalence_hypothesis(seed, instance_seed):
     instance = random_instance(instance_seed, EDBS, max_elements=4)
     expected = _goal_rows(query.program, query.goal, instance)
     assert _goal_rows(result.optimized, result.goal, instance) == expected
-    assert query.evaluate(instance, optimize=True) == expected
+    assert _evaluate_optimized(result, instance) == expected

@@ -1,13 +1,12 @@
 """Property safety net for the sharded parallel fixpoint.
 
 ``--shards N`` is only worth trusting if the partitioned executor is
-*equivalent*: no program × instance × strategy × backend combination —
-optimizer on or off — may ever produce a different fixpoint than the
-single-process engine, and a stratum the analysis proves
-communication-free must never place a fact on a shard it does not hash
-to.  Hypothesis hunts for a counterexample over the same adversarial
-pool the cost-soundness suite uses (constants in heads, repeated
-variables, ``None`` as data, empty relations).
+*equivalent*: no program × instance × strategy × backend combination may
+ever produce a different fixpoint than the single-process engine, and a
+stratum the analysis proves communication-free must never place a fact
+on a shard it does not hash to.  Hypothesis hunts for a counterexample
+over the same adversarial pool the cost-soundness suite uses (constants
+in heads, repeated variables, ``None`` as data, empty relations).
 
 The generated instances are far below the production size gate, so the
 suite lowers ``repro.core.shard.SHARD_MIN_FACTS`` for each run to force
@@ -59,25 +58,20 @@ def _context(program, base, config):
     shards=st.integers(min_value=2, max_value=3),
     strategy=st.sampled_from(_STRATEGIES),
     backend=st.sampled_from(_BACKENDS),
-    optimize=st.booleans(),
 )
 @settings(max_examples=20, deadline=None)
 def test_sharded_fixpoint_equals_single_process(
-    program, base, shards, strategy, backend, optimize
+    program, base, shards, strategy, backend
 ):
-    config = {
-        "shards": shards, "strategy": strategy,
-        "backend": backend, "optimize": optimize,
-    }
-    with run_mode(optimize=optimize):
-        single = fixpoint(
-            program, base.copy(), strategy=strategy, backend=backend
+    config = {"shards": shards, "strategy": strategy, "backend": backend}
+    single = fixpoint(
+        program, base.copy(), strategy=strategy, backend=backend
+    )
+    with _forced_sharding():
+        sharded = sharded_fixpoint(
+            program, base.copy(), shards,
+            strategy=strategy, backend=backend,
         )
-        with _forced_sharding():
-            sharded = sharded_fixpoint(
-                program, base.copy(), shards,
-                strategy=strategy, backend=backend,
-            )
     assert sharded == single, (
         "sharded fixpoint diverged from single-process"
         + _context(program, base, config)

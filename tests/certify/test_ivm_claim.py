@@ -44,7 +44,7 @@ def test_certificate_validates_after_maintenance():
 
 def test_claim_shape_is_replayable_standalone():
     view = _maintained_view()
-    claim = claim_ivm_state(view.source_program, view.base, view.state)
+    claim = claim_ivm_state(view.program, view.base, view.state)
     assert claim["type"] == "ivm_state"
     result = check_certificate(certificate([claim]))
     assert result.valid, result.failures
@@ -54,7 +54,7 @@ def test_stale_fact_in_state_is_rejected():
     view = _maintained_view()
     corrupt = view.state.copy()
     corrupt.add(Fact("Reach", ("z", "z")))  # never derivable
-    claim = claim_ivm_state(view.source_program, view.base, corrupt)
+    claim = claim_ivm_state(view.program, view.base, corrupt)
     result = check_certificate(certificate([claim]))
     assert not result.valid
     assert "stale" in result.failures[0]
@@ -64,7 +64,7 @@ def test_missing_fact_in_state_is_rejected():
     view = _maintained_view()
     corrupt = view.state.copy()
     corrupt.discard(Fact("Reach", ("b", "c")))
-    claim = claim_ivm_state(view.source_program, view.base, corrupt)
+    claim = claim_ivm_state(view.program, view.base, corrupt)
     result = check_certificate(certificate([claim]))
     assert not result.valid
     assert "missing" in result.failures[0]
@@ -75,6 +75,6 @@ def test_tampered_base_is_rejected():
     view = _maintained_view()
     smaller = view.base.copy()
     smaller.discard(Fact("E", ("b", "c")))
-    claim = claim_ivm_state(view.source_program, smaller, view.state)
+    claim = claim_ivm_state(view.program, smaller, view.state)
     result = check_certificate(certificate([claim]))
     assert not result.valid

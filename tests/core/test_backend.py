@@ -1,19 +1,15 @@
-"""Backend selection plumbing, the engine dispatch, and the optimize
-fallback.
+"""Backend selection plumbing and the engine dispatch.
 
 The columnar engine's *semantic* equivalence is covered by the
 property suite in ``test_backend_equivalence.py``; here we pin the
 seams: name validation, the engine × strategy dispatch, ambient
-defaults, counter routing, and the ``DatalogQuery.evaluate(optimize=
-True)`` retreat on IDB-fact-carrying instances (which used to be
-silent).
+defaults and counter routing.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import stats as _stats
 from repro.core.columnar import columnar_fixpoint
 from repro.core.evaluation import (
     STRATEGIES,
@@ -123,53 +119,11 @@ def test_fixpoint_uses_ambient_default_backend():
 def test_query_evaluate_backend_param():
     query = parse_query("T(x,y) :- R(x,y). T(x,y) :- R(x,z), T(z,y).", "T")
     inst = _chain(5)
-    expected = query.evaluate(inst)
-    for optimize in (False, True):
-        assert (
-            query.evaluate(inst, optimize=optimize, backend="columnar")
-            == expected
-        )
-
-
-# ---------------------------------------------------------------------------
-# the optimize fallback on IDB-fact-carrying instances (regression)
-# ---------------------------------------------------------------------------
-
-def test_evaluate_optimize_falls_back_on_idb_facts_and_says_so():
-    """An instance carrying IDB facts makes magic sets unsound, so the
-    optimized path retreats — and now records that it did."""
-    query = parse_query("T(x,y) :- R(x,y). T(x,y) :- R(x,z), T(z,y).", "T")
-    inst = _chain(4)
-    inst.add_tuple("T", (99, 100))  # a fact for the *intensional* T
-    stats = EngineStats()
-    with _stats.collecting(stats):
-        rows = query.evaluate(inst, optimize=True)
-    assert stats.optimize_fallbacks == 1
-    # the fallback still computes the right answer, IDB facts included
-    assert (99, 100) in rows
-    assert rows == query.evaluate(inst, optimize=False)
-    # and the counter round-trips like every other counter
-    assert EngineStats.from_dict(stats.to_dict()) == stats
-
-
-def test_evaluate_optimize_no_fallback_on_edb_only_instances():
-    query = parse_query("T(x,y) :- R(x,y). T(x,y) :- R(x,z), T(z,y).", "T")
-    stats = EngineStats()
-    with _stats.collecting(stats):
-        query.evaluate(_chain(4), optimize=True)
-    assert stats.optimize_fallbacks == 0
-
-
-def test_evaluate_fallback_counts_on_every_backend():
-    query = parse_query("T(x,y) :- R(x,y). T(x,y) :- R(x,z), T(z,y).", "T")
-    inst = _chain(3)
-    inst.add_tuple("T", (7, 8))
+    assert query.evaluate(inst, backend="columnar") == query.evaluate(inst)
+    # input facts for the intensional goal seed the answer on both engines
+    inst.add_tuple("T", (99, 100))
     for backend in ("interpreted", "columnar"):
-        stats = EngineStats()
-        with _stats.collecting(stats):
-            rows = query.evaluate(inst, optimize=True, backend=backend)
-        assert stats.optimize_fallbacks == 1, backend
-        assert (7, 8) in rows
+        assert (99, 100) in query.evaluate(inst, backend=backend), backend
 
 
 def test_columnar_handles_idb_facts_in_input():
@@ -247,7 +201,9 @@ def test_cli_decide_accepts_backend_flag(tmp_path, capsys):
     ["serve", "--once", "s.json"],
 ])
 def test_cli_backend_rejects_unknown_names(argv, capsys):
-    """All four ``--backend`` flags take exactly the two engines."""
+    """All four ``--backend`` flags take exactly the two engines, and
+    ``evidence run``/``serve`` no longer take ``--optimize`` (the
+    optimizer is ``repro optimize``, not a run mode)."""
     from repro.cli import main
 
     for name in ("nope", "auto"):
@@ -255,3 +211,10 @@ def test_cli_backend_rejects_unknown_names(argv, capsys):
             main([*argv, "--backend", name])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+    if argv[0] in ("evidence", "serve"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--optimize"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --optimize" in (
+            capsys.readouterr().err
+        )

@@ -2,9 +2,9 @@
 
 Random safe programs — with constants in bodies *and* heads, repeated
 variables, ``None`` as an ordinary data value, empty relations — must
-produce identical fixpoints on both backends across every strategy and
-with the optimizer on and off.  The naive interpreted strategy is the
-correctness oracle (the same role it plays for the interpreted
+produce identical fixpoints on both backends across every strategy, and
+so must the certified optimizer's output.  The naive interpreted
+strategy is the correctness oracle (the same role it plays for the interpreted
 engine's own delta machinery, and the one the independent certificate
 checker replays with).
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.optimize import optimize_program
 from repro.core.atoms import Atom
 from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
 from repro.core.evaluation import fixpoint
@@ -109,14 +110,15 @@ def test_columnar_matches_interpreted_across_strategies(program, instance):
 @given(program=programs_with_constants(), instance=edb_instances())
 @settings(max_examples=40, deadline=None)
 def test_columnar_matches_interpreted_under_optimize(program, instance):
-    for optimize in (False, True):
+    """The certified optimizer's output (magic sets and instance-driven
+    join order included) evaluates to one fixpoint on both backends."""
+    for goal in sorted(program.idb_predicates()):
+        optimized = optimize_program(program, goal, instance=instance)
         expected = fixpoint(
-            program, instance, optimize=optimize, backend="interpreted"
+            optimized.optimized, instance, backend="interpreted"
         )
         assert (
-            fixpoint(
-                program, instance, optimize=optimize, backend="columnar"
-            )
+            fixpoint(optimized.optimized, instance, backend="columnar")
             == expected
         )
 
@@ -126,19 +128,21 @@ def test_columnar_matches_interpreted_under_optimize(program, instance):
 def test_query_evaluate_is_backend_and_optimize_invariant(
     program, instance
 ):
-    """Goal relations agree for every goal × optimize × backend cell
-    (the optimized path may route through magic sets, whose derived
-    programs must also evaluate identically on both backends)."""
+    """Goal relations agree for every goal × backend cell, for the
+    program and for the optimizer's output (which may route through
+    magic sets, whose derived programs must also evaluate identically
+    on both backends)."""
     for goal in sorted(program.idb_predicates()):
         query = DatalogQuery(program, goal)
-        expected = query.evaluate(instance, optimize=False)
-        for optimize in (False, True):
+        expected = query.evaluate(instance)
+        optimized = DatalogQuery(
+            optimize_program(program, goal).optimized, goal
+        )
+        for label, candidate in (("plain", query), ("optimized", optimized)):
             for backend in ("interpreted", "columnar"):
-                got = query.evaluate(
-                    instance, optimize=optimize, backend=backend
-                )
+                got = candidate.evaluate(instance, backend=backend)
                 assert got == expected, (
-                    f"goal {goal}, optimize={optimize}, "
+                    f"goal {goal}, {label}, "
                     f"backend={backend}:\nprogram:\n{program!r}\n"
                     f"instance:\n{instance.pretty()}"
                 )

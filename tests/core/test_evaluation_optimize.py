@@ -1,21 +1,20 @@
-"""The optimizer hooks in the evaluation engine.
+"""Evaluating the certified optimizer's output.
 
-``fixpoint(optimize=True)`` and ``DatalogQuery.evaluate(optimize=True)``
-must return exactly what the plain paths return — optimization is an
-engine detail, never a semantics change — and the run mode's
-optimize switch must round-trip.
+The optimizer is a program transformation the caller applies; the
+engine never runs it implicitly.  Its output must evaluate to exactly
+the goal relation the input program does — on every strategy, through
+:meth:`DatalogQuery.evaluate` — and cost no more evaluation work on a
+goal-bound query.
 """
 
 import pytest
 
-from repro.analysis.strata import ANALYSIS_RULE_LIMIT
+from repro.analysis.optimize import optimize_program, optimized_query_program
 from repro.core import parse_instance, parse_program
-from repro.core.atoms import Atom
-from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
+from repro.core.datalog import DatalogQuery
 from repro.core.evaluation import fixpoint
-from repro.core.runmode import current, run_mode
+from repro.core.runmode import run_mode
 from repro.core.stats import EngineStats, collecting, suspended
-from repro.core.terms import Variable
 
 REACH = parse_program(
     """
@@ -31,58 +30,28 @@ CHAIN = parse_instance(
 
 @pytest.mark.parametrize("strategy", ["naive", "stratified"])
 def test_fixpoint_optimize_parity(strategy):
-    plain = fixpoint(REACH, CHAIN, strategy=strategy, optimize=False)
-    tuned = fixpoint(REACH, CHAIN, strategy=strategy, optimize=True)
-    assert plain == tuned
+    optimized = optimize_program(REACH, "Goal", instance=CHAIN).optimized
+    plain = fixpoint(REACH, CHAIN, strategy=strategy)
+    tuned = fixpoint(optimized, CHAIN, strategy=strategy)
+    assert plain.tuples("Goal") == tuned.tuples("Goal")
 
 
 def test_evaluate_optimize_parity():
     query = DatalogQuery(REACH, "Goal")
-    assert query.evaluate(CHAIN, optimize=True) == query.evaluate(
-        CHAIN, optimize=False
-    )
-
-
-def test_evaluate_falls_back_when_instance_has_idb_facts():
-    query = DatalogQuery(REACH, "Goal")
-    seeded = parse_instance("E(1,2). S(7). Reach(7,9).")
-    assert query.evaluate(seeded, optimize=True) == query.evaluate(
-        seeded, optimize=False
-    )
-    assert (9,) in query.evaluate(seeded, optimize=True)
-
-
-def test_rule_limit_skips_optimization_but_still_answers():
-    x, y = Variable("x"), Variable("y")
-    rules = [
-        Rule(Atom(f"P{i}", (x,)), (Atom("U", (x,)),))
-        for i in range(ANALYSIS_RULE_LIMIT + 1)
-    ]
-    rules.append(Rule(Atom("Goal", (x, y)), (Atom("R", (x, y)),)))
-    big = DatalogProgram(rules)
-    instance = parse_instance("R(1,2). U(1).")
-    query = DatalogQuery(big, "Goal")
-    assert query.evaluate(instance, optimize=True) == {(1, 2)}
-    assert fixpoint(big, instance, optimize=True) == fixpoint(
-        big, instance, optimize=False
-    )
-
-
-def test_set_default_optimize_round_trips():
-    assert current().optimize is False
-    with run_mode(optimize=True) as mode:
-        assert mode.optimize is current().optimize is True
-        with run_mode(optimize=False):
-            assert current().optimize is False
-        assert current().optimize is True
-    assert current().optimize is False
+    optimized = DatalogQuery(optimize_program(REACH, "Goal").optimized, "Goal")
+    assert optimized.evaluate(CHAIN) == query.evaluate(CHAIN)
 
 
 def test_ambient_default_drives_evaluate():
-    query = DatalogQuery(REACH, "Goal")
-    expected = query.evaluate(CHAIN, optimize=False)
-    with run_mode(optimize=True):
+    """The run mode's backend reaches the optimized query's evaluation
+    without a parameter (the optimizer itself is never ambient)."""
+    query = DatalogQuery(optimized_query_program(REACH, "Goal"), "Goal")
+    expected = query.evaluate(CHAIN)
+    stats = EngineStats()
+    with run_mode(backend="columnar"), collecting(stats):
         assert query.evaluate(CHAIN) == expected
+    assert stats.join_probe_rows > 0
+    assert stats.hom_calls == 0
 
 
 def test_suspended_shields_ambient_stats():
@@ -97,14 +66,15 @@ def test_suspended_shields_ambient_stats():
 
 
 def test_optimized_evaluate_keeps_counters_honest():
-    """Analysis-side hom searches stay out of evaluation stats."""
+    """Evaluating the magic-set program costs no more homomorphism
+    searches than the plain goal-directed program."""
     query = DatalogQuery(REACH, "Goal")
+    optimized = DatalogQuery(optimized_query_program(REACH, "Goal"), "Goal")
     stats = EngineStats()
     with collecting(stats):
-        rows = query.evaluate(CHAIN, optimize=True)
-    assert rows == query.evaluate(CHAIN, optimize=False)
+        rows = optimized.evaluate(CHAIN)
     plain = EngineStats()
     with collecting(plain):
-        query.evaluate(CHAIN, optimize=False)
+        assert query.evaluate(CHAIN) == rows
     # the goal is bound through S: magic sets must not cost more homs
     assert stats.hom_calls <= plain.hom_calls

@@ -16,12 +16,11 @@ CHAIN = parse_instance(" ".join(f"R({i},{i + 1})." for i in range(10)))
 
 
 def test_run_mode_is_canonical():
-    a = RunMode(optimize=1, shards=-3, checks=("shard", "cost", "shard"))
-    assert a == RunMode(optimize=True, checks=("cost", "shard"))
+    a = RunMode(shards=-3, checks=("shard", "cost", "shard"))
+    assert a == RunMode(checks=("cost", "shard"))
     assert a.shards == 0
     assert a.as_dict() == {
-        "optimize": True, "backend": "interpreted", "shards": 0,
-        "checks": ["cost", "shard"],
+        "backend": "interpreted", "shards": 0, "checks": ["cost", "shard"],
     }
     with run_mode(**a.as_dict()) as mode:
         assert mode == a == current()
@@ -65,11 +64,11 @@ def test_threads_each_see_their_own_mode_and_collector():
     threads = [
         threading.Thread(
             target=worker, args=("columnar",),
-            kwargs={"backend": "columnar", "optimize": False},
+            kwargs={"backend": "columnar"},
         ),
         threading.Thread(
-            target=worker, args=("optimized",),
-            kwargs={"backend": "interpreted", "optimize": True},
+            target=worker, args=("interpreted",),
+            kwargs={"backend": "interpreted", "checks": ("cost",)},
         ),
     ]
     for thread in threads:
@@ -80,11 +79,11 @@ def test_threads_each_see_their_own_mode_and_collector():
     assert errors == []
 
     mode, stats = seen["columnar"]
-    assert (mode.backend, mode.optimize) == ("columnar", False)
+    assert (mode.backend, mode.checks) == ("columnar", ())
     assert stats.join_probe_rows > 0
     assert stats.hom_calls == 0
-    mode, stats = seen["optimized"]
-    assert (mode.backend, mode.optimize) == ("interpreted", True)
+    mode, stats = seen["interpreted"]
+    assert (mode.backend, mode.checks) == ("interpreted", ("cost",))
     assert stats.hom_calls > 0
     assert stats.join_probe_rows == 0
     # the main thread never saw either mode or collector

@@ -66,14 +66,12 @@ def test_from_dict_strict_accepts_the_backend_counters():
         "join_probe_rows": 2,
         "join_output_rows": 3,
         "columnar_batches": 4,
-        "optimize_fallbacks": 5,
     }
     stats = EngineStats.from_dict(data)
     assert stats.join_build_rows == 1
     assert stats.join_probe_rows == 2
     assert stats.join_output_rows == 3
     assert stats.columnar_batches == 4
-    assert stats.optimize_fallbacks == 5
 
 
 def test_merge_covers_every_counter_field():
@@ -113,11 +111,6 @@ def test_merge_allow_unknown_skips_unhandled_fields():
     a.merge(Extended(hom_calls=2, new_counter=9), allow_unknown=True)
     assert a.hom_calls == 3
     assert a.new_counter == 7  # unhandled: left alone, not summed
-
-
-def test_as_dict_alias_kept_for_benchmark_consumers():
-    stats = _populated()
-    assert stats.as_dict() == stats.to_dict()
 
 
 def test_from_dict_strict_accepts_the_shard_counters():

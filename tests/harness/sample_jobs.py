@@ -81,17 +81,6 @@ def forged_certificate_job() -> dict:
     )
 
 
-def optimize_probe_job() -> dict:
-    """Reports the worker's run-mode optimization flag."""
-    from repro.core.runmode import current
-
-    optimize = current().optimize
-    return {
-        "verdict": "optimized" if optimize else "plain",
-        "measured": f"optimize={optimize}",
-    }
-
-
 def backend_probe_job() -> dict:
     """Reports the worker's run-mode evaluation backend."""
     from repro.core.runmode import current

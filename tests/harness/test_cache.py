@@ -101,10 +101,9 @@ def test_run_mode_partitions_the_key_space(tmp_path):
     job = _job()
     modes = [
         RunMode(),
-        RunMode(optimize=True),
         RunMode(backend="columnar"),
-        RunMode(optimize=True, backend="columnar"),
         RunMode(shards=2),
+        RunMode(shards=2, backend="columnar"),
         RunMode(checks=("cost",)),
         RunMode(checks=("cost", "maintain")),
     ]
@@ -119,13 +118,13 @@ def test_run_mode_key_is_order_insensitive_and_deterministic(tmp_path):
     job = _job()
     a = ResultCache(
         tmp_path, fingerprint="fp",
-        mode=RunMode(optimize=True, backend="columnar",
+        mode=RunMode(backend="columnar", shards=2,
                      checks=("maintain", "cost")),
     )
     b = ResultCache(
         tmp_path, fingerprint="fp",
         mode=RunMode(checks=("cost", "maintain", "cost"),
-                     backend="columnar", optimize=True),
+                     shards=2, backend="columnar"),
     )
     assert a.key(job) == b.key(job)
 

@@ -102,29 +102,72 @@ def test_evidence_report_missing_manifest(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+#: the engine counter the removed ambient optimizer kept
+_FALLBACKS = "_".join(("optimize", "fallbacks"))
+
+
+def _manifest_recorded_with_optimize() -> dict:
+    """A schema-9 manifest as ``evidence run --optimize`` wrote it
+    before the optimizer left the run mode: ``optimize: true`` at the
+    top level and the optimizer's fallback counter in the engine
+    totals and in every job's engine block."""
+    engine = {
+        "hom_calls": 40, "search_steps": 90, "rows_scanned": 300,
+        "fixpoint_rounds": 12, "facts_derived": 50,
+        _FALLBACKS: 1, "phase_seconds": {},
+    }
+    return {
+        "schema": 9, "created": "2026-01-01T00:00:00+00:00",
+        "code_fingerprint": "old", "workers": 1, "default_timeout_s": 120.0,
+        "cache_used": False, "optimize": True, "backend": "interpreted",
+        "shards": 0, "checks": [],
+        "jobs": {
+            "t1-cq-rewriting": {
+                "name": "t1-cq-rewriting", "status": "ok",
+                "expected": "rewritable", "verdict": "rewritable",
+                "duration_s": 0.1, "attempts": 1, "cached": False,
+                "engine": dict(engine), "audits": {},
+                "claim": "", "tags": ["table1"], "deps": [],
+            },
+        },
+        "mismatches": [], "violations": [], "engine_totals": engine,
+        "summary": {
+            "total": 1, "ok": 1, "mismatch": 0, "failed": 0,
+            "timeout": 0, "skipped": 0, "cached": 0, "wall_seconds": 0.1,
+            "audits": {},
+        },
+    }
+
+
 def test_evidence_run_optimize_with_baseline(tmp_path, capsys):
+    """A manifest recorded with the removed ``--optimize`` flag still
+    renders, gates 0 and serves as the baseline of a new run."""
     base_dir = tmp_path / "base"
-    opt_dir = tmp_path / "opt"
-    common = [
+    base_dir.mkdir()
+    (base_dir / "manifest.json").write_text(
+        json.dumps(_manifest_recorded_with_optimize())
+    )
+    assert main(["evidence", "report", str(base_dir)]) == 0
+    assert "engine: 40 hom calls" in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    code = main([
         "evidence", "run",
         "--filter", "t1-cq-rewriting",
         "--jobs", "1",
         "--timeout", "120",
         "--no-cache",
-    ]
-    assert main(common + ["--out-dir", str(base_dir)]) == 0
-    capsys.readouterr()
-    code = main(common + [
-        "--out-dir", str(opt_dir),
-        "--optimize",
         "--baseline", str(base_dir),
+        "--out-dir", str(out_dir),
     ])
     out = capsys.readouterr().out
     assert code == 0
-    manifest = json.loads((opt_dir / "manifest.json").read_text())
-    assert manifest["optimize"] is True
+    assert "vs baseline" in out
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert "optimize" not in manifest
+    assert _FALLBACKS not in manifest["engine_totals"]
     baseline = manifest["baseline"]
-    assert baseline["optimize"] is False
+    assert "optimize" not in baseline
+    assert baseline["code_fingerprint"] == "old"
     assert set(baseline["engine_delta"]) == {
         "hom_calls", "search_steps", "rows_scanned",
         "fixpoint_rounds", "facts_derived",
@@ -135,31 +178,7 @@ def test_evidence_run_optimize_with_baseline(tmp_path, capsys):
         "maintain_skipped_rederive",
         "shard_workers", "shard_exchanged_rows", "shard_local_rounds",
     }
-    assert baseline["backend"] == "interpreted"
-    assert manifest["backend"] == "interpreted"
-    assert "vs baseline" in out
-
-
-def test_evidence_run_optimize_salts_the_cache(tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    common = [
-        "evidence", "run",
-        "--filter", "t1-cq-rewriting",
-        "--jobs", "1",
-        "--timeout", "120",
-        "--cache-dir", str(cache_dir),
-    ]
-    assert main(common + ["--out-dir", str(tmp_path / "a")]) == 0
-    capsys.readouterr()
-    # an optimized run must not reuse the plain run's cache entries
-    assert main(common + ["--out-dir", str(tmp_path / "b"), "--optimize"]) == 0
-    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
-    assert manifest["summary"]["cached"] == 0
-    capsys.readouterr()
-    # but a second optimized run does hit the (salted) cache
-    assert main(common + ["--out-dir", str(tmp_path / "c"), "--optimize"]) == 0
-    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
-    assert manifest["summary"]["cached"] == 1
+    assert baseline["backend"] == manifest["backend"] == "interpreted"
 
 
 def test_evidence_run_backend_keys_the_cache(tmp_path, capsys):

@@ -102,25 +102,6 @@ def test_render_mentions_statuses_and_summary():
     assert "1/2 ok" in text
 
 
-def test_manifest_records_optimize_flag():
-    jobs = [_job("a")]
-    results = {
-        "a": JobResult(
-            "a", JobStatus.OK, "fine", verdict="fine",
-            engine={"hom_calls": 2},
-        ),
-    }
-    assert _build(jobs, results)["optimize"] is False
-    manifest = build_manifest(
-        jobs, results,
-        wall_seconds=1.0, workers=1, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False,
-        mode=RunMode(optimize=True),
-    )
-    assert manifest["optimize"] is True
-    assert "optimized" in render_manifest(manifest)
-
-
 def test_manifest_baseline_engine_delta():
     jobs = [_job("a")]
 
@@ -141,12 +122,13 @@ def test_manifest_baseline_engine_delta():
         jobs, result(40),
         wall_seconds=1.0, workers=1, default_timeout=30.0,
         code_fingerprint="fp", cache_used=False,
-        mode=RunMode(optimize=True), baseline=base,
+        mode=RunMode(backend="columnar"), baseline=base,
     )
     block = tuned["baseline"]
     assert block["engine_delta"]["hom_calls"] == -60
     assert block["engine_delta"]["search_steps"] == 0
-    assert block["optimize"] is False
+    assert block["backend"] == "interpreted"
+    assert "optimize" not in block and "optimize" not in tuned
     text = render_manifest(tuned)
     assert "vs baseline" in text
     assert "hom_calls -60" in text

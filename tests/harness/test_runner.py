@@ -168,15 +168,6 @@ def test_duplicate_job_name_rejected():
         )
 
 
-def test_worker_honors_optimize_config():
-    job = _job("probe", "optimize_probe_job", expected="optimized")
-    plain = run_jobs([job], config=_config())
-    assert plain["probe"].verdict == "plain"
-    tuned = run_jobs([job], config=_config(optimize=True))
-    assert tuned["probe"].verdict == "optimized"
-    assert tuned["probe"].status is JobStatus.OK
-
-
 def test_worker_honors_backend_config():
     job = _job("probe", "backend_probe_job", expected="columnar")
     plain = run_jobs([job], config=_config())

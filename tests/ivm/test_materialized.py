@@ -153,19 +153,6 @@ def test_backends_agree_on_a_mixed_schedule(backend):
     assert view.state == view.recompute()
 
 
-def test_optimized_view_still_certifies_source_program():
-    view = MaterializedView(
-        TC, _chain(("a", "b"), ("b", "c")), optimize=True
-    )
-    view.insert([Fact("E", ("c", "d"))])
-    cert = view.certificate()
-    from repro.certify import check_certificate
-
-    result = check_certificate(cert)
-    assert result.valid, result.failures
-    assert cert["meta"]["rounds"] == 1
-
-
 def test_insert_propagation_survives_derivations_into_the_scanned_relation():
     """Regression: a recursive rule whose derivations land in the very
     relation its join is still scanning (``Q`` here) used to raise

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 
 import pytest
@@ -97,6 +98,8 @@ def test_protocol_errors_are_in_band_not_fatal():
               "backend": "auto"}, "unknown backend 'auto'"),
             ({"op": "create", "session": "s", "program": "T(x) <- E(x).",
               "backend": "warp-drive"}, "unknown backend"),
+            # the optimizer is a transformation, not a session option
+            ({**_create(), "optimize": True}, "repro optimize"),
         ]:
             response = await service.handle(request)
             assert response["ok"] is False
@@ -164,7 +167,8 @@ def test_program_cache_hits_across_sessions():
         b = await service.handle(_create(session="b"))
         assert a["cached_program"] is False
         assert b["cached_program"] is True
-        assert a["program_sha256"] == b["program_sha256"]
+        digest = hashlib.sha256(TC_TEXT.encode()).hexdigest()
+        assert a["program_sha256"] == b["program_sha256"] == digest
         stats = await service.handle({"op": "stats", "session": "b"})
         assert stats["cache"] == {"hits": 1, "misses": 1, "entries": 1}
 
@@ -201,30 +205,25 @@ def test_reap_idle_drops_only_stale_sessions():
 
 def test_cache_eviction_is_lru():
     cache = ProgramCache(capacity=2)
-    cache.fetch("T(x,y) <- E(x,y).", False)
-    cache.fetch("U(x,y) <- E(x,y).", False)
-    cache.fetch("T(x,y) <- E(x,y).", False)  # refresh T
-    cache.fetch("V(x,y) <- E(x,y).", False)  # evicts U
+    cache.fetch("T(x,y) <- E(x,y).")
+    cache.fetch("U(x,y) <- E(x,y).")
+    cache.fetch("T(x,y) <- E(x,y).")  # refresh T
+    cache.fetch("V(x,y) <- E(x,y).")  # evicts U
     assert len(cache) == 2
-    _, _, cached = cache.fetch("T(x,y) <- E(x,y).", False)
+    _, cached = cache.fetch("T(x,y) <- E(x,y).")
     assert cached is True
-    _, _, cached = cache.fetch("U(x,y) <- E(x,y).", False)
+    _, cached = cache.fetch("U(x,y) <- E(x,y).")
     assert cached is False
 
 
-def test_program_cache_key_is_the_text_digest_and_optimize_flag():
-    import hashlib
-
+def test_program_cache_key_is_the_text_digest():
     text = "T(x,y) <- E(x,y)."
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     cache = ProgramCache()
-    assert cache.key(text, False) == (digest, False)
-    assert cache.key(text, True) == (digest, True)
-    # optimized and plain compilations of one text are separate entries
-    cache.fetch(text, False)
-    _, _, cached = cache.fetch(text, True)
+    assert cache.key(text) == hashlib.sha256(text.encode()).hexdigest()
+    program, cached = cache.fetch(text)
     assert cached is False
-    assert len(cache) == 2
+    assert cache.fetch(text) == (program, True)
+    assert len(cache) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +245,7 @@ def test_socket_round_trip_and_graceful_shutdown():
             return json.loads(await reader.readline())
 
         pong = await rpc({"op": "ping"})
-        assert pong["ok"] and pong["protocol"] == 1
+        assert pong["ok"] and pong["protocol"] == 2
         assert (await rpc(_create()))["ok"]
         inserted = await rpc({
             "op": "insert", "session": "s",
@@ -301,7 +300,7 @@ def test_once_runs_the_shipped_example_script(capsys):
         Path(__file__).resolve().parents[2]
         / "examples" / "inputs" / "serve_session.json"
     )
-    assert run_script(script) == 0
+    assert run_script(script, ServeService()) == 0
     lines = [
         json.loads(line)
         for line in capsys.readouterr().out.strip().splitlines()
@@ -319,7 +318,7 @@ def test_once_fails_on_invalid_request(tmp_path, capsys):
     script.write_text(json.dumps([
         {"op": "query", "session": "ghost", "pred": "X"},
     ]))
-    assert run_script(script) == 1
+    assert run_script(script, ServeService()) == 1
 
 
 def test_once_cli_entry_point(capsys):
@@ -437,14 +436,14 @@ def test_negative_max_delta_rejected():
 
 
 def test_once_threads_max_delta(tmp_path, capsys):
-    from repro.serve.cli import run_script
+    from repro.cli import main
 
     script = tmp_path / "script.json"
     script.write_text(json.dumps([
         _create(),
         {"op": "insert", "session": "s", "facts": [["E", ["b", "c"]]]},
     ]))
-    assert run_script(script, max_delta=0) == 1
+    assert main(["serve", "--once", str(script), "--max-delta", "0"]) == 1
     lines = [
         json.loads(line)
         for line in capsys.readouterr().out.strip().splitlines()
